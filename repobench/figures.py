@@ -10,7 +10,10 @@ samples (a fresh interpreter importing the CLI and laying
 out the sweep) and host calibration samples.
 
 *main* is one replicate (every series on one draw), *side* one series
-simulation (one ``Simulator.run``), *batch* one regeneration.
+simulation (one ``Simulator.run``), *batch* one regeneration.  Untraced
+runs probe the host before every ``Simulator.run`` and around every
+set-up (:class:`harness.HostClock`), so each of these timings can be
+reported host-normalised.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import resource
 import subprocess
 import sys
 import time
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import harness
 from tracing import Tracer, figure_layers
@@ -31,13 +34,13 @@ SRC = os.path.join(ROOT, "src")
 
 #: Cold set-ups sampled per run.
 SETUP_SAMPLES = 5
-#: Share of ``--seconds`` one regeneration is given (one takes about
-#: 21 s for fig7 and 8 s for fig11 on a 2-vCPU host; set-ups and
-#: calibration take the rest of a run).  A run makes a
-#: fixed number of regenerations, fitted to ``--seconds`` rather than to
-#: the clock, so every run of a workload pools the same number of
+#: Share of ``--seconds`` one regeneration is given (one takes 14-27 s
+#: for fig7 and 8-13 s for fig11 on a 2-vCPU host, depending on the
+#: host's drift; set-ups and calibration take the rest of a run).  A run
+#: makes a fixed number of regenerations, fitted to ``--seconds`` rather
+#: than to the clock, so every run of a workload pools the same number of
 #: replicates and its tail sits at the same rank.
-REGENERATION_BUDGET_S = {"fig7": 20.0, "fig11": 12.0}
+REGENERATION_BUDGET_S = {"fig7": 20.0, "fig11": 15.0}
 
 
 def regenerations_for(figure: str, seconds: float) -> int:
@@ -57,8 +60,8 @@ PROBE = (
 )
 
 
-def setup_sample(figure: str) -> float:
-    """Seconds from spawning a fresh interpreter until it is ready."""
+def setup_sample(figure: str) -> Tuple[float, float]:
+    """Clock readings at spawning a fresh interpreter and when it is ready."""
     env = dict(os.environ, PYTHONPATH=SRC)
     started = time.perf_counter()
     proc = subprocess.Popen(
@@ -68,7 +71,7 @@ def setup_sample(figure: str) -> float:
     )
     try:
         line = proc.stdout.readline()
-        elapsed = time.perf_counter() - started
+        ready = time.perf_counter()
         _, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
@@ -76,7 +79,7 @@ def setup_sample(figure: str) -> float:
             proc.communicate()
     if line.strip() != "ready" or proc.returncode != 0:
         raise RuntimeError(f"set-up probe failed: {err.strip()[-300:]}")
-    return elapsed
+    return started, ready
 
 
 def run(figure: str, seeds: List[int], trace: bool,
@@ -89,6 +92,7 @@ def run(figure: str, seeds: List[int], trace: bool,
     from repro.simulation.simulator import Simulator
 
     tracer = Tracer()
+    clock = harness.HostClock()
     events: List[int] = []
     record_events = lambda result: events.append(result.events)  # noqa: E731
     if trace:
@@ -100,10 +104,16 @@ def run(figure: str, seeds: List[int], trace: bool,
             )
     else:
         tracer.patch(runner, "_run_replicate", "replicate")
-        tracer.patch(Simulator, "run", "simulation.run")
+        tracer.patch(Simulator, "run", "simulation.run", before=clock.probe)
+
+    def setup() -> Tuple[float, float]:
+        clock.probe(harness.SETUP_PROBES)
+        interval = setup_sample(figure)
+        clock.probe(harness.SETUP_PROBES)
+        return interval
 
     calib = [("start", harness.calibration_ms()) for _ in range(3)]
-    setups = [setup_sample(figure) for _ in range(2)]
+    setups = [setup() for _ in range(2)]
     regenerations = []
     try:
         for seed in seeds:
@@ -117,6 +127,7 @@ def run(figure: str, seeds: List[int], trace: bool,
             after_decisions = process_decision_snapshot()
             after_profiles = ExpectedTimeModel.process_cache_snapshot()
             regenerations.append({
+                "interval": (started, ended),
                 "seconds": ended - started,
                 "spans": (first_span, len(tracer.spans)),
                 "seed": seed,
@@ -128,17 +139,18 @@ def run(figure: str, seeds: List[int], trace: bool,
             })
             calib.append(("middle", harness.calibration_ms()))
             if len(setups) < SETUP_SAMPLES:
-                setups.append(setup_sample(figure))
+                setups.append(setup())
     finally:
         tracer.restore()
     while len(setups) < SETUP_SAMPLES:
-        setups.append(setup_sample(figure))
+        setups.append(setup())
     calib += [("end", harness.calibration_ms()) for _ in range(3)]
     return {
         "regenerations": regenerations,
         "setups": setups,
         "calib": calib,
         "spans": tracer.spans,
+        "clock": clock,
         "events": events,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }

@@ -120,6 +120,90 @@ def calibration_ms(loops: int = 200_000) -> float:
     return elapsed * 1e3
 
 
+#: Loop count of one host-speed probe (about 1.5 ms on a fast core).
+PROBE_LOOPS = 20_000
+#: Probe time, in ms, that host-normalised durations are scaled to: a
+#: normalised duration is what the interval would have taken with the
+#: probe reading this.
+PROBE_REF_MS = 1.5
+#: Probes starting within this many seconds of an interval set the host
+#: speed charged to it.
+PROBE_WINDOW_S = 1.0
+#: Probes taken before and after each set-up sample, which has no probes
+#: inside it.
+SETUP_PROBES = 8
+
+
+class HostClock:
+    """Host-normalised durations from probes interleaved with the work.
+
+    The host's speed drifts by up to 1.7x for seconds to minutes (see
+    README.md), and CPU-bound work slows in step with a fixed
+    pure-Python loop.  The benchmark runs a short loop (:meth:`probe`)
+    between its timed units of work;  :meth:`normalized` then returns an
+    interval's length with the probes inside it taken out and every
+    stretch between probes scaled by ``PROBE_REF_MS`` over the median
+    probe time within ``window_s`` of that stretch.
+    """
+
+    def __init__(
+        self, loops: int = PROBE_LOOPS, ref_ms: float = PROBE_REF_MS,
+        window_s: float = PROBE_WINDOW_S,
+    ) -> None:
+        self.loops = loops
+        self.ref_ms = ref_ms
+        self.window_s = window_s
+        self.starts: List[float] = []
+        self.ends: List[float] = []
+        self.ms: List[float] = []
+
+    def record(self, start: float, end: float, ms: float) -> None:
+        """Add a probe that ran over ``[start, end]`` and read ``ms``."""
+        if self.starts and start < self.ends[-1]:
+            raise ValueError("probes must be recorded in time order")
+        self.starts.append(start)
+        self.ends.append(end)
+        self.ms.append(ms)
+
+    def probe(self, count: int = 1) -> None:
+        for _ in range(count):
+            start = time.perf_counter()
+            ms = calibration_ms(self.loops)
+            self.record(start, time.perf_counter(), ms)
+
+    def probe_ms(self, start: float, end: float) -> float:
+        """Median probe time near ``[start, end]``.
+
+        Probes starting within ``window_s`` of the interval count; when
+        there are none, the last probe before it and the first after.
+        """
+        if not self.ms:
+            raise ValueError("no host probes recorded")
+        lo = bisect.bisect_left(self.starts, start - self.window_s)
+        hi = bisect.bisect_right(self.starts, end + self.window_s)
+        if lo == hi:
+            lo, hi = max(lo - 1, 0), min(hi + 1, len(self.ms))
+        return median(self.ms[lo:hi])
+
+    def normalized(self, start: float, end: float) -> float:
+        """Host-normalised seconds of ``[start, end]``, probes excluded."""
+        total = 0.0
+        cursor = start
+        first = bisect.bisect_right(self.ends, start)
+        for k in range(first, len(self.starts)):
+            if self.starts[k] >= end:
+                break
+            if self.starts[k] > cursor:
+                total += self._scaled(cursor, self.starts[k])
+            cursor = max(cursor, self.ends[k])
+        if end > cursor:
+            total += self._scaled(cursor, end)
+        return total
+
+    def _scaled(self, start: float, end: float) -> float:
+        return (end - start) * self.ref_ms / self.probe_ms(start, end)
+
+
 def canonical_digest(document: object) -> str:
     """sha256 of a document's canonical JSON (sorted keys, no spaces)."""
     payload = json.dumps(document, sort_keys=True, separators=(",", ":"))

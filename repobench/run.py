@@ -133,20 +133,33 @@ def _model_build_ms(spans, builds, profiles) -> float:
 
 
 def figure_metrics(record: dict, trace: bool, raw: dict) -> Dict[str, float]:
+    """End-to-end (host-normalised, see :class:`harness.HostClock`) or
+    per-layer metrics of a figure run; the wall-clock readings go to
+    ``raw``."""
     regens = record["regenerations"]
     spans = record["spans"]
     raw["regenerations"] = [r["seconds"] for r in regens]
-    raw["setups"] = record["setups"]
+    raw["setups"] = [end - start for start, end in record["setups"]]
     if not trace:
-        main = [d * 1e3 for d in _durations(spans, _names(spans, 0, len(spans), "replicate"))]
-        side = [d * 1e3 for d in _durations(spans, _names(spans, 0, len(spans), "simulation.run"))]
-        metrics = {
-            "setup_s": harness.median(record["setups"]),
-            "peak_rss_mb": record["peak_rss_mb"],
-            "batch_s": harness.median(r["seconds"] for r in regens),
+        clock = record["clock"]
+        main = _names(spans, 0, len(spans), "replicate")
+        side = _names(spans, 0, len(spans), "simulation.run")
+
+        def normalized_ms(indices):
+            return [clock.normalized(spans[i][1], spans[i][2]) * 1e3 for i in indices]
+
+        raw["probe_ms"] = harness.median(clock.ms)
+        raw["wall"] = {
+            "main_p50_ms": harness.median(_durations(spans, main)) * 1e3,
+            "side_p50_ms": harness.median(_durations(spans, side)) * 1e3,
         }
-        metrics.update(_latency_summary("main", main, raw))
-        metrics.update(_latency_summary("side", side, raw))
+        metrics = {
+            "setup_s": harness.median(clock.normalized(*s) for s in record["setups"]),
+            "peak_rss_mb": record["peak_rss_mb"],
+            "batch_s": harness.median(clock.normalized(*r["interval"]) for r in regens),
+        }
+        metrics.update(_latency_summary("main", normalized_ms(main), raw))
+        metrics.update(_latency_summary("side", normalized_ms(side), raw))
         return metrics
 
     from tracing import span_cost_s
@@ -340,7 +353,7 @@ def run_service_workload(seed: int, seconds: float, trace: bool) -> dict:
         "segments": count,
         "failures": failures[:20],
         "calib_ms": calib,
-        "setups": [s["setup_s"] for s in segments],
+        "setups": [s["setup_wall_s"] for s in segments],
         "batches": [s["batch_s"] for s in segments],
     }
     if not trace:

@@ -282,6 +282,9 @@ def run_segment(seed: int, segment: int, trace: bool) -> Dict[str, object]:
     env.pop("REPRO_SERVICE_TOKEN", None)
     failures: List[str] = []
     conns: List[http.client.HTTPConnection] = []
+    # ``setup_s`` is host-normalised by probes either side of it.
+    clock = harness.HostClock()
+    clock.probe(harness.SETUP_PROBES)
     spawned = time.perf_counter()
     proc = subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -294,7 +297,9 @@ def run_segment(seed: int, segment: int, trace: bool) -> Dict[str, object]:
         host, port = banner.split(" on http://")[1].split()[0].rsplit(":", 1)
         port = int(port)
         warm = _pipelined_submits(host, port, steps["warm"])
-        setup_s = time.perf_counter() - spawned
+        warmed = time.perf_counter()
+        clock.probe(harness.SETUP_PROBES)
+        setup_s = clock.normalized(spawned, warmed)
         for (job_id, _), (status, doc) in zip(steps["warm"], warm):
             if not _reply_ok("submit", status, doc, job_id):
                 failures.append(f"warm-up submit {job_id}")
@@ -372,6 +377,7 @@ def run_segment(seed: int, segment: int, trace: bool) -> Dict[str, object]:
     return {
         "segment": segment,
         "setup_s": setup_s,
+        "setup_wall_s": warmed - spawned,
         "batch_s": batch_s,
         "rss_mb": rss_mb,
         "records": records,

@@ -83,6 +83,50 @@ class TestSelfTimes:
         assert harness.self_times(spans)[0] == 8.0
 
 
+class TestHostClock:
+    def clock(self, probes):
+        clock = harness.HostClock(ref_ms=1.0, window_s=1.0)
+        for start, end, ms in probes:
+            clock.record(start, end, ms)
+        return clock
+
+    def test_steady_host_scales_by_reference_over_probe(self):
+        clock = self.clock([(0.0, 0.001, 2.0), (10.0, 10.001, 2.0)])
+        assert clock.normalized(1.0, 3.0) == pytest.approx(1.0)
+
+    def test_probes_inside_an_interval_are_excluded(self):
+        clock = self.clock([(0.0, 0.5, 1.0), (2.0, 2.5, 1.0)])
+        # 3 s minus the second probe's 0.5 s.
+        assert clock.normalized(0.5, 3.5) == pytest.approx(2.5)
+        # An interval starting inside a probe loses only the rest of it.
+        assert clock.normalized(0.25, 1.0) == pytest.approx(0.5)
+
+    def test_each_stretch_uses_the_probes_near_it(self):
+        # Slow host (probe 2 ms) until t=5, then reference speed.
+        clock = self.clock(
+            [(0.0, 0.0, 2.0), (1.0, 1.0, 2.0), (9.0, 9.0, 1.0), (10.0, 10.0, 1.0)]
+        )
+        assert clock.probe_ms(0.5, 0.6) == 2.0
+        assert clock.probe_ms(9.5, 9.6) == 1.0
+        # No probe within 1 s of [4, 6]: the neighbours either side count.
+        assert clock.probe_ms(4.0, 6.0) == 1.5
+        # [1, 9] is one stretch; all four probes lie within its window.
+        assert clock.normalized(1.0, 9.0) == pytest.approx(8.0 / 1.5)
+
+    def test_needs_probes_in_time_order(self):
+        clock = self.clock([(1.0, 2.0, 1.0)])
+        with pytest.raises(ValueError):
+            clock.record(1.5, 3.0, 1.0)
+        with pytest.raises(ValueError):
+            harness.HostClock().probe_ms(0.0, 1.0)
+
+    def test_probe_records_a_sample(self):
+        clock = harness.HostClock(loops=1000)
+        clock.probe(2)
+        assert len(clock.ms) == 2 and all(ms > 0 for ms in clock.ms)
+        assert clock.starts[0] < clock.ends[0] <= clock.starts[1]
+
+
 class TestTracer:
     def test_spans_nest_and_patches_restore(self):
         calls = []
@@ -100,6 +144,15 @@ class TestTracer:
         assert o_start <= i_start <= i_end <= o_end
         tracer.restore()
         assert holder.inner is original
+
+    def test_before_hook_runs_outside_the_span(self):
+        tracer = Tracer()
+        hooked = []
+        traced = tracer.wrap(
+            "f", lambda: len(tracer.spans), before=lambda: hooked.append(len(tracer.spans))
+        )
+        assert traced() == 1
+        assert hooked == [0]
 
     def test_span_recorded_when_call_raises(self):
         tracer = Tracer()

@@ -39,19 +39,24 @@ class Tracer:
     def wrap(
         self, name: str, fn: Callable, name_of: Optional[Callable] = None,
         on_result: Optional[Callable] = None,
+        before: Optional[Callable] = None,
     ) -> Callable:
         """``fn`` recording one span per call.
 
         ``name_of(*args, **kwargs)``, when given, returns a suffix for
         the span name (the service's operation name); ``on_result`` is
         called with each return value (the figure workload reads event
-        counts off simulation results).
+        counts off simulation results); ``before()`` runs ahead of each
+        call, outside its span (the figure workload probes the host
+        there).
         """
         spans = self.spans
         clock = time.perf_counter
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
+            if before is not None:
+                before()
             stack = self._stack()
             label = name if name_of is None else f"{name}.{name_of(*args, **kwargs)}"
             row = [label, clock(), 0.0, stack[-1] if stack else -1]
@@ -73,11 +78,12 @@ class Tracer:
         self, owner: object, attr: str, name: str,
         name_of: Optional[Callable] = None,
         on_result: Optional[Callable] = None,
+        before: Optional[Callable] = None,
     ) -> None:
         """Replace ``owner.attr`` by a traced wrapper."""
         original = getattr(owner, attr)
         self._patched.append((owner, attr, original))
-        setattr(owner, attr, self.wrap(name, original, name_of, on_result))
+        setattr(owner, attr, self.wrap(name, original, name_of, on_result, before))
 
     def patch_all(self, patches: Sequence[Patch]) -> None:
         for owner, attr, name in patches:
