@@ -513,31 +513,6 @@ class DecisionCache:
         """Record the live free-processor count ahead of a decision."""
         self.budget = int(free)
 
-    def reset(self) -> None:
-        """Return the cache to its just-constructed validity state.
-
-        The rolling-horizon service (:mod:`repro.service`) keeps one
-        cache per model and re-injects it into every segment whose pack
-        shares that model.  Between segments all runtimes are rebuilt,
-        so every mirror is stale — but the persistent rows and scratch
-        blocks are gated behind the validity bits, so clearing the bits
-        (and the mirrors they guard) restores the exact
-        post-construction state with zero reallocation.  The cumulative
-        patch/reuse counters survive: they feed the service telemetry.
-        """
-        self._sigma.fill(-1)
-        self._rc_sigma.fill(-2)
-        self._stall.fill(0.0)
-        self._row_t.fill(np.nan)
-        self._row_stall.fill(0.0)
-        self._dirty.fill(True)
-        self._keep_valid.fill(False)
-        self._pending.fill(False)
-        self._env_key.fill(-1)
-        self._prof_pos.fill(-1)
-        self._nff_valid.fill(False)
-        self.budget = None
-
     # -- internal patching -------------------------------------------------
     def _refresh(self, rt: TaskRuntime) -> None:
         """Resync one dirty task's mirrors from its live runtime."""
@@ -727,12 +702,14 @@ class DecisionCache:
         # ``int(round(alpha * SCALE))`` key bit for bit).
         alpha_q = keys / _ALPHA_SCALE
         blocks = self.model._stacked_grids()
+        rows = self.model.grid_rows
+        gsub = sub if rows is None else rows[sub]  # block rows of sub
         b = self._pb[:k]
         c = self._pc[:k]
         d = self._pd[:k]
-        np.take(blocks["t_ff"], sub, axis=0, out=b)
+        np.take(blocks["t_ff"], gsub, axis=0, out=b)
         np.multiply(alpha_q[:, None], b, out=c)   # c = work
-        np.take(blocks["wpp"], sub, axis=0, out=b)
+        np.take(blocks["wpp"], gsub, axis=0, out=b)
         np.divide(c, b, out=d)
         np.floor(d, out=d)                        # d = N^ff
         np.multiply(d, b, out=b)
@@ -745,7 +722,7 @@ class DecisionCache:
             # bases in place — one block multiply, no cached-base gather
             # (bit-identical: same N^ff and exp_period operands).
             self._nff[sub] = d
-            np.take(blocks["exp_period"], sub, axis=0, out=b)
+            np.take(blocks["exp_period"], gsub, axis=0, out=b)
             np.multiply(d, b, out=d)              # d = N^ff * exp_period
             self._nff_base[sub] = d
             self._nff_valid[sub] = True
@@ -754,19 +731,21 @@ class DecisionCache:
                 full = sub[full_pos]
                 nff_rows = d[full_pos]
                 self._nff[full] = nff_rows
-                self._nff_base[full] = nff_rows * blocks["exp_period"][full]
+                self._nff_base[full] = (
+                    nff_rows * blocks["exp_period"][gsub[full_pos]]
+                )
                 self._nff_valid[full] = True
             np.take(self._nff_base, sub, axis=0, out=d)
         n_tau = k - n_full
         self.profile_tau_patched += n_tau
         _PROCESS_DECISION_COUNTERS[4] += n_tau
         self.profile_rows_full += n_full
-        np.take(blocks["lam"], sub, axis=0, out=b)
+        np.take(blocks["lam"], gsub, axis=0, out=b)
         with np.errstate(over="ignore"):
             np.multiply(b, c, out=c)
             np.expm1(c, out=c)                    # c = expm1(lam tau_last)
             np.add(d, c, out=c)                   # c = base + expm1 term
-            np.take(blocks["prefactor"], sub, axis=0, out=b)
+            np.take(blocks["prefactor"], gsub, axis=0, out=b)
             np.multiply(b, c, out=out)            # raw Eq. (4) rows
         zero = alpha_q <= 0.0
         if bool(np.any(zero)):

@@ -48,6 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from .broker import FileBroker
+from .http_reply import send_json_reply
 
 __all__ = ["SCHEMA_VERSION", "BrokerService", "BrokerServer", "main"]
 
@@ -348,15 +349,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
     def _reply(self, status: int, body: Dict) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # the client hung up mid-response; nothing to salvage
+        send_json_reply(self, status, body)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Per-request logging only under ``--verbose``."""

@@ -64,6 +64,7 @@ from .profile_backends import (
 __all__ = [
     "ExpectedTimeModel",
     "TaskGrid",
+    "TaskGridStore",
     "checkpoint_count",
     "last_period",
     "stacked_raw_profiles",
@@ -185,6 +186,143 @@ class TaskGrid:
         return slots
 
 
+#: Grid fields kept row-stacked for the fused Eq. (4) pass, as
+#: ``(block name, TaskGrid attribute)``.
+_BLOCK_FIELDS = (
+    ("t_ff", "t_ff"),
+    ("wpp", "work_per_period"),
+    ("lam", "lam"),
+    ("prefactor", "prefactor"),
+    ("exp_period", "exp_period"),
+)
+
+
+class TaskGridStore:
+    """Content-addressed per-task grids shared by successive models.
+
+    A task's :class:`TaskGrid` depends only on its ``(size,
+    checkpoint_cost)`` once the cluster, resilience model, speedup
+    profile and ``j`` grid are fixed.  The store fixes those four and
+    keys grids by that pair, so a model bound to it
+    (``ExpectedTimeModel(..., grid_store=store)``) builds only the grids
+    the store lacks — through the same :meth:`ExpectedTimeModel.grid`
+    code, so values are bit-identical to a fresh model's.
+
+    Every stored grid also owns one row of the shared stacked blocks
+    behind the fused Eq. (4) pass; a bound model reads them through a
+    task -> row map instead of stacking its pack again.
+
+    Lifetime is reference-counted by the owner: :meth:`retain` a key
+    while a job needs it and :meth:`release` it when the job leaves;
+    the last release drops the grid and frees its row.  A freed row is
+    rewritten only when a later model adds a grid, so a model must not
+    evaluate a released task after a newer model has been built — the
+    online engine discards each segment's model before it builds the
+    next one.
+    """
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        profile,
+        resilience: Optional[ResilienceModel] = None,
+        max_procs: Optional[int] = None,
+    ):
+        self.cluster = cluster
+        self.profile = profile
+        self.resilience = (
+            resilience if resilience is not None else ResilienceModel(cluster)
+        )
+        j_max = cluster.processors if max_procs is None else int(max_procs)
+        self.width = j_max // 2  #: the j grid's length, 2..j_max even
+        self._grids: Dict[tuple, TaskGrid] = {}
+        self._rows: Dict[tuple, int] = {}
+        self._refs: Dict[tuple, int] = {}
+        self._free: list[int] = []
+        self.blocks: Dict[str, np.ndarray] = {
+            name: np.empty((0, self.width)) for name, _ in _BLOCK_FIELDS
+        }
+        self.built = 0
+        self.reused = 0
+
+    def __len__(self) -> int:
+        return len(self._grids)
+
+    def keys(self) -> list:
+        """The ``(size, checkpoint_cost)`` keys currently stored."""
+        return list(self._grids)
+
+    def get(self, key: tuple) -> Optional[TaskGrid]:
+        """The stored grid for ``key`` (counted as a reuse), or None."""
+        grid = self._grids.get(key)
+        if grid is not None:
+            self.reused += 1
+        return grid
+
+    def add(self, key: tuple, grid: TaskGrid) -> None:
+        """Store a freshly built grid and copy it into a block row."""
+        if self._free:
+            row = self._free.pop()
+        else:
+            row = len(self._rows)
+            capacity = self.blocks["t_ff"].shape[0]
+            if row >= capacity:
+                grown = max(8, 2 * capacity)
+                for name, _ in _BLOCK_FIELDS:
+                    block = np.empty((grown, self.width))
+                    block[:capacity] = self.blocks[name]
+                    self.blocks[name] = block
+        for name, attr in _BLOCK_FIELDS:
+            self.blocks[name][row] = getattr(grid, attr)
+        self._grids[key] = grid
+        self._rows[key] = row
+        self.built += 1
+
+    def row(self, key: tuple) -> int:
+        """Block row of a stored key."""
+        return self._rows[key]
+
+    def retain(self, key: tuple) -> None:
+        """Take one reference on ``key`` (its grid may be built later)."""
+        self._refs[key] = self._refs.get(key, 0) + 1
+
+    def release(self, key: tuple) -> None:
+        """Drop one reference; the last one evicts the grid."""
+        refs = self._refs[key] - 1
+        if refs:
+            self._refs[key] = refs
+            return
+        del self._refs[key]
+        if self._grids.pop(key, None) is not None:
+            self._free.append(self._rows.pop(key))
+
+
+def _check_store_binding(
+    store: TaskGridStore,
+    pack: Pack,
+    cluster: Cluster,
+    resilience: Optional[ResilienceModel],
+    max_procs: Optional[int],
+) -> None:
+    """A model may share a store only under the store's fixed inputs."""
+    j_max = cluster.processors if max_procs is None else int(max_procs)
+    if (
+        cluster is not store.cluster
+        or (resilience is not None and resilience is not store.resilience)
+        or j_max // 2 != store.width
+    ):
+        raise ConfigurationError(
+            "grid_store was built for another cluster, resilience model "
+            "or j grid"
+        )
+    for task in pack:
+        if task.profile is not store.profile:
+            raise ConfigurationError(
+                f"task {task.index}: speedup profile differs from the "
+                "grid store's"
+            )
+
+
 def stacked_raw_profiles(
     grids: Sequence[TaskGrid], alphas: np.ndarray
 ) -> np.ndarray:
@@ -292,6 +430,7 @@ class ExpectedTimeModel:
         cache_size: int = 4096,
         rc_factor: float = 1.0,
         profile_backend: str = "fused",
+        grid_store: Optional[TaskGridStore] = None,
     ):
         if rc_factor < 0:
             raise ConfigurationError("rc_factor must be non-negative")
@@ -300,6 +439,11 @@ class ExpectedTimeModel:
         self.pack = pack
         self.cluster = cluster
         self.rc_factor = float(rc_factor)
+        if grid_store is not None:
+            _check_store_binding(
+                grid_store, pack, cluster, resilience, max_procs
+            )
+            resilience = grid_store.resilience
         self.resilience = (
             resilience if resilience is not None else ResilienceModel(cluster)
         )
@@ -311,6 +455,10 @@ class ExpectedTimeModel:
         self._j_grid = np.arange(2, j_max + 1, 2, dtype=float)
         self._grid_len = len(self._j_grid)
         self._grids: dict[int, TaskGrid] = {}
+        self._store = grid_store
+        # Store-backed models read the store's shared blocks through this
+        # task -> block-row map (set with the stacked blocks).
+        self._grid_rows: Optional[np.ndarray] = None
         # Flat profile store: one preallocated row array per live envelope,
         # grown on demand up to cache_size and then recycled FIFO.
         # _profile_views maps (task, quantised-alpha) -> read-only row and
@@ -329,7 +477,8 @@ class ExpectedTimeModel:
         # Stacked per-task grid block behind profile_rows_into: one
         # (n_tasks, grid) copy of each TaskGrid field, built once per
         # model so row-level re-evaluations are pure fancy indexing with
-        # no per-call np.stack of grids.
+        # no per-call np.stack of grids (a store-backed model borrows the
+        # store's blocks instead).
         self._stacked_block: Optional[Dict[str, np.ndarray]] = None
         # Profile backend: requested name, resolved name (numba degrades
         # to fused when absent) and the lazily built backend object —
@@ -346,11 +495,29 @@ class ExpectedTimeModel:
         return self._j_grid
 
     def grid(self, i: int) -> TaskGrid:
-        """Per-task constant arrays, built lazily and kept for the run."""
+        """Per-task constant arrays, built lazily and kept for the run.
+
+        A store-backed model takes the grid from its
+        :class:`TaskGridStore` when present and stores what it builds.
+        """
         cached = self._grids.get(i)
         if cached is not None:
             return cached
         task = self.pack[i]
+        store = self._store
+        if store is not None:
+            key = (task.size, task.checkpoint_cost)
+            grid = store.get(key)
+            if grid is None:
+                grid = self._build_grid(i, task)
+                store.add(key, grid)
+        else:
+            grid = self._build_grid(i, task)
+        self._grids[i] = grid
+        return grid
+
+    def _build_grid(self, i: int, task) -> TaskGrid:
+        """Evaluate one task's :class:`TaskGrid` over the ``j`` grid."""
         j = self._j_grid
         t_ff = np.asarray(task.fault_free_time(j), dtype=float)
         cost = np.asarray(self.resilience.cost(task, j), dtype=float)
@@ -370,7 +537,7 @@ class ExpectedTimeModel:
                 f"task {i}: checkpoint period does not exceed its cost; "
                 "the checkpoint strategy is inconsistent"
             )
-        grid = TaskGrid(
+        return TaskGrid(
             j=j,
             t_ff=t_ff,
             cost=cost,
@@ -380,8 +547,6 @@ class ExpectedTimeModel:
             exp_period=exp_period,
             work_per_period=work_per_period,
         )
-        self._grids[i] = grid
-        return grid
 
     # -- profile backend -------------------------------------------------------
     @property
@@ -411,7 +576,7 @@ class ExpectedTimeModel:
         backend = self._backend_obj
         if backend is None and self._backend_name != "reference":
             backend = make_profile_backend(
-                self._backend_name, self._stacked_grids()
+                self._backend_name, self._stacked_grids(), self._grid_rows
             )
             self._backend_obj = backend
         return backend
@@ -607,27 +772,46 @@ class ExpectedTimeModel:
         return out
 
     def _stacked_grids(self) -> Dict[str, np.ndarray]:
-        """The per-task grid fields stacked into (n_tasks, grid) blocks.
+        """The per-task grid fields stacked into row blocks.
 
         Built once per model (forcing every task grid) and reused by
         every :meth:`profile_rows_into` call — the per-simulation scratch
-        the decision-state engine rides on.  Row ``i`` of each block is a
-        copy of the corresponding :class:`TaskGrid` array of task ``i``,
-        so fancy-indexed evaluations are bit-identical to
+        the decision-state engine rides on.  A standalone model stacks
+        its own ``(n_tasks, grid)`` blocks, row ``i`` for task ``i``; a
+        store-backed model borrows the store's blocks and sets
+        :attr:`grid_rows`, task ``i``'s row in them.  Either way each
+        row is a copy of the task's :class:`TaskGrid` arrays, so
+        fancy-indexed evaluations are bit-identical to
         :func:`stacked_raw_profiles` over freshly stacked grids.
         """
         block = self._stacked_block
         if block is None:
             grids = [self.grid(i) for i in range(len(self.pack))]
-            block = {
-                "t_ff": np.stack([g.t_ff for g in grids]),
-                "wpp": np.stack([g.work_per_period for g in grids]),
-                "lam": np.stack([g.lam for g in grids]),
-                "prefactor": np.stack([g.prefactor for g in grids]),
-                "exp_period": np.stack([g.exp_period for g in grids]),
-            }
+            store = self._store
+            if store is None:
+                block = {
+                    name: np.stack([getattr(g, attr) for g in grids])
+                    for name, attr in _BLOCK_FIELDS
+                }
+            else:
+                self._grid_rows = np.fromiter(
+                    (
+                        store.row((task.size, task.checkpoint_cost))
+                        for task in self.pack
+                    ),
+                    dtype=np.int64,
+                    count=len(self.pack),
+                )
+                # A snapshot: later growth swaps in new store arrays
+                # but leaves these (and this model's rows) intact.
+                block = dict(store.blocks)
             self._stacked_block = block
         return block
+
+    @property
+    def grid_rows(self) -> Optional[np.ndarray]:
+        """Task -> row map into :meth:`_stacked_grids` (None = identity)."""
+        return self._grid_rows
 
     def profile_rows_into(
         self,
@@ -706,6 +890,8 @@ class ExpectedTimeModel:
             # stacked_raw_profiles, operation for operation, over
             # fancy-indexed rows of the persistent block.
             stacked = self._stacked_grids()
+            if self._grid_rows is not None:
+                sel = self._grid_rows[sel]
             t_ff = stacked["t_ff"][sel]
             wpp = stacked["wpp"][sel]
             work = alpha_q[:, None] * t_ff

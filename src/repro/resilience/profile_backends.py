@@ -101,9 +101,11 @@ def resolve_profile_backend(name: str) -> str:
 class FusedProfileBackend:
     """Raw Eq. (4) rows off persistent stacked blocks, allocation-free.
 
-    ``blocks`` is the model's ``(n_tasks, grid)`` stacked-grid dict
+    ``blocks`` is the model's stacked-grid dict
     (:meth:`~repro.resilience.expected_time.ExpectedTimeModel.
-    _stacked_grids`).  :meth:`raw_rows` gathers the selected task rows
+    _stacked_grids`); ``rows``, when given, maps task indices to block
+    rows (a grid-store-backed model), otherwise row ``i`` is task ``i``.
+    :meth:`raw_rows` gathers the selected task rows
     with ``np.take(..., out=...)`` into four reused workspaces and runs
     the Eq. (4) recurrence in place — the exact operation sequence of
     the reference multi-grid branch (multiply, divide, floor, multiply,
@@ -114,12 +116,18 @@ class FusedProfileBackend:
 
     name = "fused"
 
-    def __init__(self, blocks: Dict[str, np.ndarray]):
+    def __init__(
+        self, blocks: Dict[str, np.ndarray], rows: Optional[np.ndarray] = None
+    ):
         self._t_ff = blocks["t_ff"]
         self._wpp = blocks["wpp"]
         self._lam = blocks["lam"]
         self._prefactor = blocks["prefactor"]
         self._exp_period = blocks["exp_period"]
+        self._rows = rows
+        self._n_tasks = int(
+            self._t_ff.shape[0] if rows is None else rows.size
+        )
         self._width = int(self._t_ff.shape[1])
         self._capacity = 0
         self._wa = self._wb = self._wc = self._wd = np.empty((0, 0))
@@ -130,7 +138,7 @@ class FusedProfileBackend:
         batches may exceed the task count)."""
         if k <= self._capacity:
             return
-        capacity = max(k, int(self._t_ff.shape[0]), 2 * self._capacity)
+        capacity = max(k, self._n_tasks, 2 * self._capacity)
         shape = (capacity, self._width)
         self._wa = np.empty(shape)
         self._wb = np.empty(shape)
@@ -148,6 +156,8 @@ class FusedProfileBackend:
         """
         k = int(sel.size)
         self._ensure_capacity(k)
+        if self._rows is not None:
+            sel = self._rows[sel]
         a = self._wa[:k]
         b = self._wb[:k]
         c = self._wc[:k]
@@ -193,6 +203,8 @@ class FusedProfileBackend:
             return a
         c = self._wc[0]
         d = self._wd[0]
+        if self._rows is not None:
+            i = self._rows[i]
         wpp = self._wpp[i]
         np.multiply(alpha_q, self._t_ff[i], out=c)  # c = work
         np.divide(c, wpp, out=a)
@@ -250,18 +262,22 @@ class NumbaProfileBackend(FusedProfileBackend):
 
     name = "numba"
 
-    def __init__(self, blocks: Dict[str, np.ndarray]):
+    def __init__(
+        self, blocks: Dict[str, np.ndarray], rows: Optional[np.ndarray] = None
+    ):
         if not NUMBA_AVAILABLE:  # pragma: no cover - guarded upstream
             raise ConfigurationError(
                 "profile_backend='numba' requested but numba is not "
                 "importable; resolve_profile_backend falls back to 'fused'"
             )
-        super().__init__(blocks)
+        super().__init__(blocks, rows)
         self._kernel = _numba_kernel()
 
     def raw_rows(self, sel: np.ndarray, alpha_q: np.ndarray) -> np.ndarray:
         k = int(sel.size)
         self._ensure_capacity(k)
+        if self._rows is not None:
+            sel = self._rows[sel]
         out = self._wa[:k]
         self._kernel(
             sel, alpha_q, self._t_ff, self._wpp, self._lam,
@@ -271,12 +287,14 @@ class NumbaProfileBackend(FusedProfileBackend):
 
 
 def make_profile_backend(
-    name: str, blocks: Dict[str, np.ndarray]
+    name: str,
+    blocks: Dict[str, np.ndarray],
+    rows: Optional[np.ndarray] = None,
 ) -> Optional[FusedProfileBackend]:
     """Instantiate the *resolved* backend (``None`` for the reference)."""
     resolved = resolve_profile_backend(name)
     if resolved == "reference":
         return None
     if resolved == "numba":
-        return NumbaProfileBackend(blocks)
-    return FusedProfileBackend(blocks)
+        return NumbaProfileBackend(blocks, rows)
+    return FusedProfileBackend(blocks, rows)

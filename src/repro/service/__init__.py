@@ -25,8 +25,8 @@ decisions are made *online*.  This package is that service layer:
   drain.
 * :mod:`~repro.service.telemetry` — ``/metrics`` assembly
   (:class:`repro.engine.EngineStats` + per-job progress + queue depths
-  + decision latency percentiles) and the import-guarded psutil host
-  sampler.
+  + decision latency percentiles) and the stdlib host sampler
+  (``getrusage`` + ``/proc/self/status``).
 * :mod:`~repro.service.replay` — the deterministic arrival-replay
   harness: a seeded trace driven through the live service (virtual
   clock, in-process transport) must be byte-identical to the offline

@@ -33,32 +33,33 @@ arrival-replay harness (:mod:`repro.service.replay`) pins byte for
 byte.  A trace with a single arrival at ``t=0`` degenerates to one
 segment whose prologue and event loop are exactly ``Simulator.run``.
 
-Warm state reused across epochs: :class:`ExpectedTimeModel` instances
-are memoised in a :class:`~repro.engine.cache.WorkloadCache` keyed by
-the active job multiset, and each model's
-:class:`~repro.core.kernels.DecisionCache` is kept and
-:meth:`~repro.core.kernels.DecisionCache.reset` for the next segment
-instead of reallocating its matrix blocks.
+Warm state reused across epochs: every epoch builds a fresh
+:class:`ExpectedTimeModel` over the residual pack, but its per-task
+Eq. 4 grids come from the engine's
+:class:`~repro.resilience.expected_time.TaskGridStore`, keyed by
+``(size, checkpoint_cost)``.  An epoch therefore builds only the grids
+of newly admitted jobs, and a job's grid leaves the store when the job
+completes or is cancelled, so the store never outgrows the running set.
+The store belongs to the engine, not the process: batch figures and
+campaigns never see it.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from ..cluster import Cluster
-from ..core.kernels import DecisionCache
 from ..core.optimal import optimal_schedule
 from ..core.policy import Policy, get_policy
 from ..core.progress import residual_workload
 from ..core.redistribution import redistribution_cost
-from ..engine.cache import WorkloadCache
 from ..exceptions import ConfigurationError
 from ..resilience.checkpoint import ResilienceModel
 from ..resilience.distributions import ExponentialFaults, FaultDistribution
-from ..resilience.expected_time import ExpectedTimeModel
+from ..resilience.expected_time import ExpectedTimeModel, TaskGridStore
 from ..resilience.faults import FaultInjector, NullFaultInjector
 from ..rng import derive_rng
 from ..simulation.simulator import Simulator
@@ -125,10 +126,11 @@ class _EngineCounters:
     segments_closed: int = 0
     repack_moves: int = 0
     rc_paid: float = 0.0
+    #: One expected-time model per re-pack epoch; ``models_reused``
+    #: stays 0 (every epoch changes the pack) and is kept for readers
+    #: that delta it.
     models_built: int = 0
     models_reused: int = 0
-    decision_caches_built: int = 0
-    decision_caches_reused: int = 0
     completions: int = 0
     cancellations: int = 0
     submissions: int = 0
@@ -146,8 +148,6 @@ class _EngineCounters:
             "rc_paid": self.rc_paid,
             "models_built": self.models_built,
             "models_reused": self.models_reused,
-            "decision_caches_built": self.decision_caches_built,
-            "decision_caches_reused": self.decision_caches_reused,
             "completions": self.completions,
             "cancellations": self.cancellations,
             "submissions": self.submissions,
@@ -160,8 +160,8 @@ class OnlineEngine:
     Parameters mirror the batch :class:`Simulator` where they overlap;
     the engine owns the fault injector (one continuous per-processor
     stream derived from ``(seed, "faults")``, shared by every segment)
-    and a :class:`~repro.engine.cache.WorkloadCache` of expected-time
-    models keyed by the active job multiset.
+    and a :class:`~repro.resilience.expected_time.TaskGridStore` holding
+    the Eq. 4 grid of every running job.
 
     The engine is single-threaded by design — the session layer
     (:class:`repro.service.session.ServiceSession`) serialises access.
@@ -182,7 +182,6 @@ class OnlineEngine:
         decision_kernel: str = "array",
         decision_state: str = "incremental",
         profile_backend: Optional[str] = None,
-        workload_cache: Optional[WorkloadCache] = None,
         latency_window: int = 1024,
     ):
         self.cluster = cluster
@@ -194,7 +193,6 @@ class OnlineEngine:
             if fault_distribution is not None
             else ExponentialFaults(cluster.mtbf)
         )
-        self._resilience = resilience
         self._profile = profile if profile is not None else PaperSyntheticProfile()
         if checkpoint_unit_cost < 0:
             raise ConfigurationError("checkpoint unit cost must be >= 0")
@@ -203,12 +201,9 @@ class OnlineEngine:
         self._decision_kernel = decision_kernel
         self._decision_state = decision_state
         self._profile_backend = profile_backend
-        self._models = (
-            workload_cache if workload_cache is not None else WorkloadCache()
+        self.grid_store = TaskGridStore(
+            cluster, self._profile, resilience=resilience
         )
-        # One decision cache per memoised model, reset()-reused across
-        # segments (bounded alongside the model memo).
-        self._dcaches: "OrderedDict[tuple, DecisionCache]" = OrderedDict()
         if self.inject_faults:
             self._injector: FaultInjector | NullFaultInjector = FaultInjector(
                 cluster.processors,
@@ -354,6 +349,7 @@ class OnlineEngine:
             self._record_epoch(t, "cancel", admitted=[], rc_paid=0.0, moves=0)
             return True
         job.status = CANCELLED
+        self.grid_store.release(_grid_key(job))
         self.counters.cancellations += 1
         self._repack(t, "cancel")
         return True
@@ -386,6 +382,7 @@ class OnlineEngine:
             job.status = COMPLETED
             job.completion_time = ev_t
             job.alpha_remaining = 0.0
+            self.grid_store.release(_grid_key(job))
             self.counters.completions += 1
             if self._sim.tasks_remaining == 0:
                 self._close_segment()
@@ -439,58 +436,6 @@ class OnlineEngine:
         self.counters.failures_masked += seg["masked"]
         self.counters.segments_closed += 1
 
-    def _model_key(self, pack: Pack) -> tuple:
-        return (
-            "service-model",
-            tuple((spec.size, spec.checkpoint_cost) for spec in pack),
-            self.cluster.processors,
-            self.cluster.mtbf,
-            self.cluster.downtime,
-        )
-
-    def _model_for(self, pack: Pack) -> ExpectedTimeModel:
-        key = self._model_key(pack)
-        before = self._models.snapshot()
-
-        def build() -> ExpectedTimeModel:
-            return ExpectedTimeModel(
-                pack,
-                self.cluster,
-                resilience=self._resilience,
-                profile_backend=(
-                    "fused"
-                    if self._profile_backend is None
-                    else self._profile_backend
-                ),
-            )
-
-        model = self._models.get_or_build(key, build)
-        hits, misses = self._models.snapshot()
-        self.counters.models_built += misses - before[1]
-        self.counters.models_reused += hits - before[0]
-        return model
-
-    def _decision_cache_for(
-        self, key: tuple, model: ExpectedTimeModel
-    ) -> Optional[DecisionCache]:
-        if (
-            self._decision_kernel != "array"
-            or self._decision_state != "incremental"
-        ):
-            return None
-        cache = self._dcaches.get(key)
-        if cache is not None and cache.model is model:
-            self._dcaches.move_to_end(key)
-            cache.reset()
-            self.counters.decision_caches_reused += 1
-            return cache
-        cache = DecisionCache(model)
-        self._dcaches[key] = cache
-        self.counters.decision_caches_built += 1
-        while len(self._dcaches) > self._models.capacity:
-            self._dcaches.popitem(last=False)
-        return cache
-
     def _repack(self, t: float, trigger: str) -> None:
         """Epoch: close the segment, re-pack residuals, resume."""
         started = time.perf_counter()
@@ -536,7 +481,17 @@ class OnlineEngine:
             for i, jid in enumerate(order)
         ]
         pack = Pack(specs)
-        model = self._model_for(pack)
+        model = ExpectedTimeModel(
+            pack,
+            self.cluster,
+            profile_backend=(
+                "fused"
+                if self._profile_backend is None
+                else self._profile_backend
+            ),
+            grid_store=self.grid_store,
+        )
+        self.counters.models_built += 1
         alphas_dec = [
             residuals[jid].alpha if jid in residuals else 1.0 for jid in order
         ]
@@ -575,6 +530,7 @@ class OnlineEngine:
             else:
                 job.status = RUNNING
                 job.admitted_at = t
+                self.grid_store.retain(_grid_key(job))
                 alphas0.append(1.0)
                 t_last0.append(t)
 
@@ -590,9 +546,6 @@ class OnlineEngine:
             decision_kernel=self._decision_kernel,
             decision_state=self._decision_state,
         )
-        cache = self._decision_cache_for(self._model_key(pack), model)
-        if cache is not None:
-            sim._make_decision_cache = lambda: cache  # type: ignore[method-assign]
         sim.start(
             t0=t,
             sigma0=sigma,
@@ -667,7 +620,14 @@ class OnlineEngine:
             "queue_depth": len(self._queue),
             "active_pack_size": len(self.active_jobs),
             "makespan": self.makespan(),
-            "model_cache": self._models.cache_info(),
         }
         doc.update(self.counters.as_dict())
+        doc["grids_built"] = self.grid_store.built
+        doc["grids_reused"] = self.grid_store.reused
+        doc["grid_store_size"] = len(self.grid_store)
         return doc
+
+
+def _grid_key(job: JobState) -> tuple:
+    """A job's :class:`TaskGridStore` key."""
+    return (job.size, job.checkpoint_cost)

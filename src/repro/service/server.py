@@ -34,6 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Sequence
 
 from ..cluster import Cluster
+from ..engine.http_reply import send_json_reply
 from ..exceptions import ConfigurationError, ReproError
 from .clock import VirtualClock, WallClock
 from .horizon import OnlineEngine
@@ -185,15 +186,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, body)
 
     def _reply(self, status: int, body: Dict) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # the client hung up mid-response; nothing to salvage
+        send_json_reply(self, status, body)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):  # pragma: no cover

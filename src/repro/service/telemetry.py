@@ -12,14 +12,15 @@ Three layers of telemetry, all JSON-safe:
 * **decision latency** — p50/p99 over the engine's recent re-pack
   latencies (wall-clock, telemetry only — the canonical replay output
   never contains them);
-* **host sampler** — optional psutil-backed process/host gauges,
-  import-guarded: without psutil the section reports
-  ``{"available": false}`` and everything else still works (the
-  container this repo targets does not ship psutil).
+* **host sampler** — process gauges from the standard library:
+  ``resource.getrusage`` for CPU time and ``/proc/self/status`` for
+  resident memory and threads (CPU only where there is no ``/proc``).
 """
 
 from __future__ import annotations
 
+import resource
+import time
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from ..core.kernels import process_decision_snapshot
@@ -28,11 +29,6 @@ from ..resilience.expected_time import ExpectedTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .session import ServiceSession
-
-try:  # pragma: no cover - exercised only where psutil exists
-    import psutil  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - the expected path here
-    psutil = None
 
 __all__ = [
     "HostSampler",
@@ -96,31 +92,56 @@ def service_engine_stats(engine) -> EngineStats:
 
 
 class HostSampler:
-    """Optional psutil host/process gauges (Elasecutor-style resMon).
+    """Process gauges for ``/metrics`` from the standard library.
 
-    Degrades gracefully: when psutil is not importable every sample is
-    ``{"available": False}``.  A fresh process handle per sampler keeps
-    ``cpu_percent`` deltas meaningful across calls.
+    ``cpu_percent`` is this process's CPU time over the wall time since
+    the previous sample (or since the sampler was made), so it reads as
+    a utilisation between two scrapes.
     """
 
+    #: ``/proc/self/status`` fields reported, as ``field: (key, scale)``.
+    _STATUS_FIELDS = {
+        "VmRSS": ("rss_bytes", 1024),
+        "VmHWM": ("peak_rss_bytes", 1024),
+        "Threads": ("num_threads", 1),
+    }
+
     def __init__(self) -> None:
-        self.available = psutil is not None
-        self._proc = psutil.Process() if self.available else None
+        self._last = (time.monotonic(), self._cpu_seconds())
+
+    @staticmethod
+    def _cpu_seconds() -> float:
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        return usage.ru_utime + usage.ru_stime
+
+    def _proc_status(self) -> Dict[str, int]:
+        """The reported ``/proc/self/status`` fields ({} without /proc)."""
+        found: Dict[str, int] = {}
+        try:
+            with open("/proc/self/status", encoding="ascii") as fh:
+                for line in fh:
+                    name, _, value = line.partition(":")
+                    spec = self._STATUS_FIELDS.get(name)
+                    if spec is not None:
+                        key, scale = spec
+                        found[key] = int(value.split()[0]) * scale
+        except OSError:
+            return {}
+        return found
 
     def sample(self) -> Dict[str, object]:
-        if not self.available:  # pragma: no branch - container default
-            return {"available": False}
-        vm = psutil.virtual_memory()  # pragma: no cover - psutil-only
-        with self._proc.oneshot():  # pragma: no cover - psutil-only
-            return {
-                "available": True,
-                "cpu_percent": self._proc.cpu_percent(interval=None),
-                "rss_bytes": self._proc.memory_info().rss,
-                "num_threads": self._proc.num_threads(),
-                "host_cpu_percent": psutil.cpu_percent(interval=None),
-                "host_memory_percent": vm.percent,
-                "host_memory_available": vm.available,
-            }
+        now, cpu = time.monotonic(), self._cpu_seconds()
+        last_now, last_cpu = self._last
+        self._last = (now, cpu)
+        wall = now - last_now
+        doc: Dict[str, object] = {
+            "available": True,
+            "cpu_percent": (
+                100.0 * (cpu - last_cpu) / wall if wall > 0 else 0.0
+            ),
+        }
+        doc.update(self._proc_status())
+        return doc
 
 
 def service_metrics(

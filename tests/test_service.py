@@ -15,12 +15,15 @@ Three layers, pinned separately:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -157,12 +160,29 @@ class TestServiceAPI:
             "host",
         }
         assert metrics["service"]["epochs"] == 1
+        for key in ("models_built", "models_reused", "repack_moves"):
+            assert key in metrics["service"]
+        assert metrics["service"]["grids_built"] == 1
+        assert metrics["service"]["grids_reused"] == 0
+        assert metrics["service"]["grid_store_size"] == 1
         assert metrics["decision_latency"]["count"] == 1
         assert metrics["jobs"]["alpha"]["status"] == "running"
         assert isinstance(metrics["host"]["available"], bool)
         assert metrics["draining"] is False
         # the whole document must survive the HTTP framing
         json.dumps(metrics)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self"
+    )
+    def test_host_sampler_reports_process_gauges(self):
+        api, _session, _clock = make_api()
+        host = api.handle("metrics", {})["host"]
+        assert host["available"] is True
+        assert host["rss_bytes"] > 0
+        assert host["peak_rss_bytes"] >= host["rss_bytes"]
+        assert host["num_threads"] >= 1
+        assert host["cpu_percent"] >= 0
 
     def test_status_document(self):
         api, _session, _clock = make_api()
@@ -260,6 +280,34 @@ class TestServiceHTTP:
         status, _ = _call(server, "/api/submit", token=self.TOKEN,
                           payload={"size": -1.0})
         assert status == 400
+
+    def test_chained_keepalive_requests_do_not_stall(self, server):
+        """Each reply is one write, so a request chained on a keep-alive
+        connection never waits out the client's delayed ACK (~40 ms)."""
+        parsed = urllib.parse.urlsplit(server)
+        conn = http.client.HTTPConnection(
+            parsed.hostname, parsed.port, timeout=10.0
+        )
+        headers = {"Authorization": f"Bearer {self.TOKEN}"}
+
+        def status() -> None:
+            conn.request("GET", "/status", headers=headers)
+            response = conn.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+
+        try:
+            status()  # open the connection
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                for _ in range(10):
+                    status()
+                    status()
+                best = min(best, time.perf_counter() - started)
+        finally:
+            conn.close()
+        assert best < 0.2, f"10 chained pairs took {best * 1e3:.0f} ms"
 
     def test_tokenless_server_is_open(self):
         _api, session, _clock = make_api(processors=8)
