@@ -1,8 +1,11 @@
 """Decision benchmark: incremental vs rebuild vs scalar hot paths.
 
-Two layers of the decision stack are measured on the same
-*failure-heavy* scenario (low MTBF, large pack, ~10k+ events) whose
-runtime is dominated by rebuild decisions:
+Two layers of the decision stack are measured on a *failure-heavy*
+scenario (low MTBF, large pack, ~10k+ events) whose runtime is
+dominated by rebuild decisions, and the decision state once more on a
+*completion-heavy* one shaped like the figures (the mid-sweep fig7
+point at the bench scale, EndLocal and EndGreedy, where task ends
+outnumber failures):
 
 * the ``decision_kernel="array"`` matrix build (:mod:`repro.core.
   kernels`) against the per-probe ``"scalar"`` reference (PR 3), and
@@ -25,11 +28,15 @@ Measurements:
 * ``sim_failure_heavy_reference`` — the fresh-build array kernel on
   ``profile_backend="reference"`` (the PR-6-era substrate);
 * ``sim_failure_heavy_scalar`` — the seed-style scalar kernel;
+* ``sim_completion_heavy_{incremental,array}`` — one ``ig-el`` and one
+  ``ig-eg`` run of the completion-heavy scenario on the default engine
+  and on the fresh-build array kernel;
 * ``rebuild_{array,scalar}`` — one isolated Algorithm-5 rebuild of an
   ``n``-task pack per kernel.
 
-All three simulations run on the same workload and fault draw and the
-benchmark asserts they are byte-identical before timing is trusted.
+The simulations of one scenario run on the same workload and fault
+draw and the benchmark asserts they are identical before timing is
+trusted.
 
 Runs two ways:
 
@@ -43,10 +50,14 @@ Runs two ways:
 enforces the derived host-relative floors: ``sim_kernel_speedup``
 (scalar seconds over fresh-build array seconds, floor 1.5x),
 ``sim_state_speedup`` (fresh-build seconds over incremental seconds,
-floor 1.3x) and ``sim_failure_heavy_speedup`` (reference-substrate
+floor 1.3x), ``sim_failure_heavy_speedup`` (reference-substrate
 seconds over incremental seconds, floor 2x at small/paper and 1.25x on
-the tiny CI leg — the ISSUE 7 hot-core target).  ``REPRO_BENCH_SCALE``
-(``tiny``/``small``/``paper``) sizes the scenario.
+the tiny CI leg — the hot-core target) and
+``sim_completion_heavy_speedup`` (fresh-build seconds over incremental
+seconds on the completion-heavy scenario, where the column-windowed
+decision rows pay off; floors in ``COMPLETION_HEAVY_FLOORS``).
+``REPRO_BENCH_SCALE`` (``tiny``/``small``/``paper``) sizes the
+scenarios.
 """
 
 from __future__ import annotations
@@ -62,6 +73,7 @@ from repro.cluster import Cluster
 from repro.core import optimal_schedule
 from repro.core.heuristics import greedy_rebuild
 from repro.core.state import TaskRuntime
+from repro.experiments.config import ScenarioConfig, get_scale
 from repro.resilience import ExpectedTimeModel
 from repro.simulation import simulate
 from repro.tasks import uniform_pack
@@ -93,6 +105,25 @@ PARAMS = SCALE_PARAMS.get(BENCH_SCALE, SCALE_PARAMS["small"])
 FAILURE_HEAVY_FLOORS = {"tiny": 1.25, "small": 2.0, "paper": 2.0}
 FAILURE_HEAVY_FLOOR = FAILURE_HEAVY_FLOORS.get(BENCH_SCALE, 2.0)
 
+#: Completion-heavy scenario: the fig7 sweep point n=500 on p=5000
+#: shrunk by the bench scale's preset (``small``: n=100 on p=1000, the
+#: figure's own mid point; ``paper`` reuses that point), replicate seed,
+#: and the policies run per rep — one per completion heuristic, both
+#: with the Algorithm-5 failure rebuild.
+COMPLETION_SCALE = BENCH_SCALE if BENCH_SCALE in ("tiny", "small") else "small"
+COMPLETION_CONFIG = get_scale(COMPLETION_SCALE).apply(
+    ScenarioConfig(n=500, p=5000)
+)
+COMPLETION_SEED = 3
+COMPLETION_POLICIES = ("ig-el", "ig-eg")
+
+#: Scale-aware floor for the completion-heavy decision-state gate.
+#: Measured on a 2-vCPU host: 4.3-5.9x at small and 2.6-3.0x at tiny
+#: with column-windowed rows, against 2.3-2.7x and 1.9-2.0x when the
+#: cache patched EndLocal rows one at a time over the full grid.
+COMPLETION_HEAVY_FLOORS = {"tiny": 2.0, "small": 3.0, "paper": 3.0}
+COMPLETION_HEAVY_FLOOR = COMPLETION_HEAVY_FLOORS.get(BENCH_SCALE, 3.0)
+
 #: Rebuild microbenchmark pack size per scale.
 REBUILD_N = {"tiny": 24, "small": 64, "paper": 128}.get(BENCH_SCALE, 64)
 
@@ -123,36 +154,51 @@ def measure(
 
 
 def _sim_runner(
-    kernel: str, state: str, profile_backend: str
-) -> Callable[[], object]:
-    """A zero-argument failure-heavy ``ig-el`` run in the given modes."""
-    pack, cluster, seed = _sim_workload()
+    kernel: str, state: str, profile_backend: str,
+    scenario: str = "failure_heavy",
+) -> Callable[[], Dict[str, float]]:
+    """A zero-argument run of ``scenario`` in the given modes, returning
+    its identity fields: one failure-heavy ``ig-el`` simulation, or one
+    simulation per :data:`COMPLETION_POLICIES` on the completion-heavy
+    draw (fields summed)."""
+    if scenario == "failure_heavy":
+        pack, cluster, seed = _sim_workload()
+        policies: Sequence[str] = ("ig-el",)
+    else:
+        pack = COMPLETION_CONFIG.build_pack(COMPLETION_SEED)
+        cluster = COMPLETION_CONFIG.build_cluster()
+        seed, policies = COMPLETION_SEED, COMPLETION_POLICIES
     model = ExpectedTimeModel(pack, cluster, profile_backend=profile_backend)
-    return lambda: simulate(
-        pack, cluster, "ig-el", seed=seed, model=model,
-        decision_kernel=kernel, decision_state=state,
-    )
 
+    def run() -> Dict[str, float]:
+        results = [
+            simulate(
+                pack, cluster, policy, seed=seed, model=model,
+                decision_kernel=kernel, decision_state=state,
+            )
+            for policy in policies
+        ]
+        return {
+            "events": float(sum(r.events for r in results)),
+            "failures": float(sum(r.failures_effective for r in results)),
+            "makespan": sum(r.makespan for r in results),
+        }
 
-def _sim_fields(result) -> Dict[str, float]:
-    return {
-        "events": float(result.events),
-        "failures": float(result.failures_effective),
-        "makespan": result.makespan,
-    }
+    return run
 
 
 def measure_sim(
-    kernel: str, state: str = "rebuild", profile_backend: str = "fused"
+    kernel: str, state: str = "rebuild", profile_backend: str = "fused",
+    scenario: str = "failure_heavy",
 ) -> Dict[str, float]:
-    """One full failure-heavy ``ig-el`` run on the given decision modes.
+    """One full ``scenario`` run on the given decision modes.
 
     Best-of-5 consecutive reps; when two sim modes feed a derived
     ratio, prefer :func:`run_all`, which interleaves the reps across
     modes so host drift cannot land on one side of the ratio.
     """
-    run = _sim_runner(kernel, state, profile_backend)
-    fields = _sim_fields(run())
+    run = _sim_runner(kernel, state, profile_backend, scenario)
+    fields = run()
     return {"seconds": measure(run, repeats=5), **fields}
 
 
@@ -192,12 +238,23 @@ def measure_rebuild(kernel: str) -> Dict[str, float]:
     }
 
 
-#: Simulation measurements: name -> (kernel, state, profile_backend).
+#: Simulation measurements: name -> (kernel, state, profile_backend,
+#: scenario).
 SIM_MODES: Dict[str, tuple] = {
-    "sim_failure_heavy_array": ("array", "rebuild", "fused"),
-    "sim_failure_heavy_reference": ("array", "rebuild", "reference"),
-    "sim_failure_heavy_incremental": ("array", "incremental", "fused"),
-    "sim_failure_heavy_scalar": ("scalar", "rebuild", "fused"),
+    "sim_failure_heavy_array": ("array", "rebuild", "fused", "failure_heavy"),
+    "sim_failure_heavy_reference": (
+        "array", "rebuild", "reference", "failure_heavy",
+    ),
+    "sim_failure_heavy_incremental": (
+        "array", "incremental", "fused", "failure_heavy",
+    ),
+    "sim_failure_heavy_scalar": ("scalar", "rebuild", "fused", "failure_heavy"),
+    "sim_completion_heavy_array": (
+        "array", "rebuild", "fused", "completion_heavy",
+    ),
+    "sim_completion_heavy_incremental": (
+        "array", "incremental", "fused", "completion_heavy",
+    ),
 }
 
 #: name -> zero-argument measurement returning at least {"seconds": s}.
@@ -227,7 +284,7 @@ def _measure_sims_interleaved(
     runners = {name: _sim_runner(*SIM_MODES[name]) for name in names}
     results = {}
     for name, run in runners.items():  # warm-up + identity fields
-        results[name] = {"seconds": float("inf"), **_sim_fields(run())}
+        results[name] = {"seconds": float("inf"), **run()}
     for _ in range(repeats):
         for name, run in runners.items():
             start = time.perf_counter()
@@ -248,24 +305,20 @@ def run_all(names: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, float]
     for name in selected:
         if name not in results:
             results[name] = MEASUREMENTS[name]()
-    sims = [
-        results[name]
-        for name in (
-            "sim_failure_heavy_incremental",
-            "sim_failure_heavy_array",
-            "sim_failure_heavy_reference",
-            "sim_failure_heavy_scalar",
-        )
-        if name in results
-    ]
     # The timing is only meaningful if every mode executed the exact
-    # same simulation.
-    for other in sims[1:]:
-        for field in ("events", "failures", "makespan"):
-            assert sims[0][field] == other[field], (
-                f"decision-mode divergence on {field}: "
-                f"{sims[0][field]} vs {other[field]}"
-            )
+    # same simulations of its scenario.
+    for scenario in ("failure_heavy", "completion_heavy"):
+        sims = [
+            results[name]
+            for name, modes in SIM_MODES.items()
+            if modes[3] == scenario and name in results
+        ]
+        for other in sims[1:]:
+            for field in ("events", "failures", "makespan"):
+                assert sims[0][field] == other[field], (
+                    f"decision-mode divergence on {scenario} {field}: "
+                    f"{sims[0][field]} vs {other[field]}"
+                )
     return results
 
 
@@ -303,6 +356,21 @@ def sim_failure_heavy_speedup(results: Dict[str, Dict[str, float]]) -> float:
     )
 
 
+def sim_completion_heavy_speedup(
+    results: Dict[str, Dict[str, float]]
+) -> float:
+    """Fresh-build seconds over incremental seconds (completion-heavy).
+
+    The decision-state number on the figures' own mix of work: task
+    ends outnumber failures, so EndLocal's batched window pass and the
+    windowed Algorithm-5 rebuild carry the run.
+    """
+    return (
+        results["sim_completion_heavy_array"]["seconds"]
+        / results["sim_completion_heavy_incremental"]["seconds"]
+    )
+
+
 def rebuild_kernel_speedup(results: Dict[str, Dict[str, float]]) -> float:
     """Scalar seconds over array seconds on the isolated rebuild."""
     return (
@@ -322,6 +390,9 @@ def payload_from(results: Dict[str, Dict[str, float]]) -> Dict[str, object]:
             "sim_kernel_speedup": sim_kernel_speedup(results),
             "sim_state_speedup": sim_state_speedup(results),
             "sim_failure_heavy_speedup": sim_failure_heavy_speedup(results),
+            "sim_completion_heavy_speedup": (
+                sim_completion_heavy_speedup(results)
+            ),
             "rebuild_kernel_speedup": rebuild_kernel_speedup(results),
         },
     }
@@ -398,6 +469,24 @@ def test_hot_core_beats_reference_on_failures():
     assert speedup >= floor, (
         f"hot core only {speedup:.2f}x over the reference substrate on "
         f"the failure-heavy benchmark (floor {floor:g}x at {BENCH_SCALE})"
+    )
+
+
+def test_incremental_state_beats_rebuild_on_completions():
+    """Acceptance gate: the column-windowed decision state wins on the
+    completion-heavy scenario (``COMPLETION_HEAVY_FLOORS``), with one
+    retry for noisy shared runners."""
+    floor = COMPLETION_HEAVY_FLOOR
+    names = ["sim_completion_heavy_array", "sim_completion_heavy_incremental"]
+    results = run_all(names)
+    assert results["sim_completion_heavy_incremental"]["events"] >= 100
+    if sim_completion_heavy_speedup(results) < floor:  # pragma: no cover - noisy host
+        results = run_all(names)
+    speedup = sim_completion_heavy_speedup(results)
+    assert speedup >= floor, (
+        f"incremental decision state only {speedup:.2f}x over the fresh "
+        f"build on the completion-heavy benchmark (floor {floor:g}x at "
+        f"{BENCH_SCALE})"
     )
 
 

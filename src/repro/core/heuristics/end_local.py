@@ -7,9 +7,13 @@ task found non-improvable is dropped from consideration and its processors
 are never reclaimed.
 
 On the ``"array"`` decision kernel (:mod:`repro.core.kernels`) the
-greedy loop only slices the decision matrix (rows materialise on first
-touch — a completion may consult just a few tasks); ``"scalar"`` keeps
-the per-pop model calls as the bit-identical reference.
+greedy loop only slices the decision matrix; ``"scalar"`` keeps the
+per-pop model calls as the bit-identical reference.  A task only ever
+grows by pairs of the ``free`` processors, so no read passes count
+``max sigma + free``: the run's :class:`~repro.core.kernels.
+DecisionCache` patches every stale row in one batched pass over that
+column window, while the fresh build (``decision_state="rebuild"``)
+materialises full rows on first touch.
 """
 
 from __future__ import annotations
@@ -64,7 +68,9 @@ class EndLocal(CompletionHeuristic):
     ) -> List[int]:
         by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
         if cache is not None:
-            dm = cache.matrix(t, tasks, lazy=True)
+            # Reads stay within sigma_init(i) + free <= max sigma + free.
+            cols = (max(rt.sigma for rt in tasks) + free) >> 1
+            dm = cache.matrix(t, tasks, cols=cols)
         else:
             dm = decision_matrix(model, t, tasks, lazy=True)
 
@@ -77,7 +83,7 @@ class EndLocal(CompletionHeuristic):
             _, i = heapq.heappop(heap)
             rt = by_index[i]
             finishes = dm.finish_range(i, rt.sigma + 2, rt.sigma + k)
-            if finishes.size and bool(np.any(finishes < rt.t_expected)):
+            if finishes.size and bool((finishes < rt.t_expected).any()):
                 # Improvable: grant exactly one pair (line 17) and re-rank.
                 rt.sigma += 2
                 rt.t_expected = dm.finish(i, rt.sigma)

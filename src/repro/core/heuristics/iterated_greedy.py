@@ -12,8 +12,9 @@ lines 16 and 23).
 terminations, without a faulty task.
 
 The rebuild runs on either decision kernel (:mod:`repro.core.kernels`):
-``"array"`` precomputes the whole candidate finish matrix once and walks
-it by index, ``"scalar"`` keeps the per-probe model calls as the
+``"array"`` walks a precomputed candidate finish matrix by index (a
+fresh build per decision, or the run's decision cache over a column
+window), ``"scalar"`` keeps the per-probe model calls as the
 bit-identical reference.
 """
 
@@ -82,28 +83,38 @@ def _greedy_rebuild_cached(
     faulty: Optional[int],
     cache: DecisionCache,
 ) -> List[int]:
-    """Cache-fed kernel: delta-patched matrix + incremental heap.
+    """Cache-fed kernel: delta-patched, column-windowed matrix.
 
     Decision-for-decision identical to :func:`_greedy_rebuild_array`:
     the candidate values come from the same (delta-patched) matrix and
-    every comparison reads the same doubles.  Two loop mechanics differ
-    without changing any decision:
+    every comparison reads the same doubles.  Three loop mechanics
+    differ without changing any decision:
 
+    * rows are patched over a column window only — ``(max sigma_init +
+      free) / 2`` slots, where the rebuilt allocation usually lands —
+      and a row is extended exactly (:meth:`~repro.core.kernels.
+      DecisionCache.widen_row`) only when a probe's budget ``s + avail``
+      passes its window and the window holds no improving candidate.
+      ``s + avail`` never grows during one rebuild (a grant moves one
+      pair from ``avail`` to ``s``), so a row is extended at most once;
     * the "can this task still improve within the remaining budget"
-      probe is O(1) — the reversed running minimum answers "improvable
-      at all", and the first improving candidate (the next smaller
-      element from the current slot) is compared against the window
-      bound, exactly equivalent to scanning the windowed slice;
+      probe first tries the very next candidate, and otherwise scans
+      the in-budget part of the window (``== any(window < e)`` on the
+      fresh build's slice);
     * a granted task is re-popped inline while it still beats the heap
       top (same ``(-finish, index)`` tuple order as push-then-pop), so
       the heap only sees traffic when the longest task actually
       changes — the entries invalidated by the granted pair.
     """
-    dm = cache.matrix(t, tasks, faulty=faulty, with_keep=True)
-    vals, sufrev, width = cache.rebuild_block(dm)
+    sigmas = [rt.sigma for rt in tasks]
+    window = (max(sigmas) + capacity - sum(sigmas)) >> 1  # max sigma + free
+    dm = cache.matrix(t, tasks, faulty=faulty, with_keep=True, cols=window)
+    vals = cache.rebuild_block(dm)
+    width = model.j_grid.size
     indices = dm.indices
     n = len(indices)
     slots = [0] * n  # every task restarts at sigma = 2 (slot 0)
+    cols = [dm.finishes.shape[1]] * n  # evaluated columns per row
     # Ties break on the task index; the trailing row position never
     # participates in the ordering (the index is already unique).
     heap = [
@@ -115,20 +126,23 @@ def _greedy_rebuild_cached(
     while avail >= 1 and heap:
         neg, i, pos = heapq.heappop(heap)
         row = vals[pos]
-        suf = sufrev[pos]
         e = -neg
         while True:
             s = slots[pos]
-            grow = False
-            if s + 1 < width:
-                if row.item(s + 1) < e:
-                    grow = True  # the very next candidate improves
-                elif suf.item(width - 2 - s) < e:
-                    # Improvable somewhere: the first improving candidate
-                    # is the next smaller element; grant iff it is within
-                    # the budget (== any(window < e) on the slice).
-                    f = s + 1 + int((row[s + 1:] < e).argmax())
-                    grow = f - s <= avail
+            ext = cols[pos]
+            if s + 1 < ext and row.item(s + 1) < e:
+                grow = True  # the very next candidate improves
+            else:
+                # Grant iff a candidate within the budget (slots s+1 ..
+                # s+avail) improves: the fresh build's any(window < e).
+                end = min(s + 1 + avail, width)
+                grow = bool((row[s + 1:min(end, ext)] < e).any())
+                if not grow and end > ext:
+                    # The budget passes the window and the window holds
+                    # no improving candidate: extend exactly, re-probe.
+                    cache.widen_row(vals, pos, i, t, end)
+                    cols[pos] = end
+                    continue
             if not grow:
                 # Algorithm 5 line 30: the longest task cannot improve.
                 avail = 0

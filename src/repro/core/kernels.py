@@ -89,11 +89,24 @@ finish matrix at each decision point.  The invariants this rests on
    executions match the fresh-build ``"rebuild"`` reference byte for
    byte, mirroring the ``decision_kernel`` / ``event_queue`` pairs.
 
+4. **Column windows are exact.**  The Eq. (6) envelope is a running
+   minimum along the processor axis, and every other term of a finish
+   row is elementwise, so the leading ``w`` columns of a row are a pure
+   function of the task and never of the columns after them.  A
+   decision that can only read candidates up to count ``2 w`` patches
+   its stale rows over ``[0, w)`` only; every row records its valid
+   column extent (``_row_w``), and a later decision needing more
+   columns re-patches the row instead of reading stale ones.  EndLocal
+   reads at most ``max sigma + free`` processors, which bounds its
+   window exactly; the Algorithm-5 rebuild starts from the same window
+   and extends a row exactly when a probe's budget passes it with no
+   improving candidate inside (:meth:`DecisionCache.widen_row`).
+
 All scratch blocks (finish matrix, combine buffers, rebuild blocks)
 are preallocated once per cache and reused for every decision;
-:func:`process_decision_snapshot` exposes the patched/reused row and
-scratch-allocation counts that :class:`repro.engine.EngineStats`
-aggregates across worker processes.
+:func:`process_decision_snapshot` exposes the patched/reused row,
+scratch-allocation and evaluated-column counts that
+:class:`repro.engine.EngineStats` aggregates across worker processes.
 """
 
 from __future__ import annotations
@@ -137,16 +150,18 @@ DECISION_STATES = ("incremental", "rebuild")
 _EMPTY = np.empty(0)
 
 #: Process-wide decision-state counters ``[rows_patched, rows_reused,
-#: scratch_allocations, profile_env_reused, profile_tau_patched]``,
-#: summed over every cache this process ever built (same list-cell
-#: pattern as the profile counters — monotone, so the engine can delta
-#: them around a work chunk).
-_PROCESS_DECISION_COUNTERS = [0, 0, 0, 0, 0]
+#: scratch_allocations, profile_env_reused, profile_tau_patched,
+#: columns_evaluated, window_extensions]``, summed over every cache this
+#: process ever built (same list-cell pattern as the profile counters —
+#: monotone, so the engine can delta them around a work chunk).  New
+#: counters are only ever appended: readers index the leading ones.
+_PROCESS_DECISION_COUNTERS = [0, 0, 0, 0, 0, 0, 0]
 
 
-def process_decision_snapshot() -> tuple[int, int, int, int, int]:
+def process_decision_snapshot() -> tuple[int, int, int, int, int, int, int]:
     """Process-wide ``(rows_patched, rows_reused, scratch_allocations,
-    profile_env_reused, profile_tau_patched)``.
+    profile_env_reused, profile_tau_patched, columns_evaluated,
+    window_extensions)``.
 
     ``rows_patched`` counts candidate-matrix rows recomputed by the
     incremental engine; ``rows_reused`` component rows served from the
@@ -158,7 +173,11 @@ def process_decision_snapshot() -> tuple[int, int, int, int, int]:
     envelope state (quantised alpha unchanged since the last
     evaluation); ``profile_tau_patched`` profile rows recombined via
     the ``tau_last``-only patch (``N^ff`` row unchanged, so only the
-    ``expm1`` term was recomputed).  Aggregated across worker processes
+    ``expm1`` term was recomputed); ``columns_evaluated`` finish-matrix
+    cells computed by those row patches (a row patched over a column
+    window counts its window, not the platform grid);
+    ``window_extensions`` rebuild rows re-patched wider because a probe
+    outgrew the decision's window.  Aggregated across worker processes
     into :class:`repro.engine.EngineStats`.
     """
     return tuple(_PROCESS_DECISION_COUNTERS)
@@ -273,7 +292,8 @@ class DecisionMatrix:
         slot = (k >> 1) - 1
         if k < 2 or (k & 1) or slot >= self.finishes.shape[1]:
             raise SimulationError(
-                f"candidate count {int(k)} exceeds the platform grid"
+                f"candidate count {int(k)} exceeds the matrix's columns "
+                "(the platform grid or the decision's window)"
             )
         return slot
 
@@ -301,7 +321,8 @@ class DecisionMatrix:
         if hi_slot >= self.finishes.shape[1]:
             raise SimulationError(
                 f"candidate count {int(hi_slot + 1) << 1} exceeds the "
-                "platform grid"
+                "matrix's columns (the platform grid or the decision's "
+                "window)"
             )
         return self.finishes[self._row(i), lo_slot:hi_slot + 1]
 
@@ -405,14 +426,22 @@ def decision_matrix(
     )
 
 
+
+
+def _block(buf: np.ndarray, k: int, w: int) -> np.ndarray:
+    """Contiguous ``(k, w)`` view over the head of a flat scratch buffer."""
+    return buf[:k * w].reshape(k, w)
+
+
 @dataclass
 class _CacheMatrix(DecisionMatrix):
     """A :class:`DecisionMatrix` whose rows live in a :class:`DecisionCache`.
 
     Rows are full-pack indexed (``row == task index``) views into the
-    cache's persistent arrays; lazy rows materialise through the cache
-    so the patch is recorded and reused by later decisions at the same
-    ``t``.  Valid until the owning cache serves its next matrix.
+    cache's persistent arrays, cut to the decision's column window; lazy
+    rows materialise through the cache so the patch is recorded and
+    reused by later decisions at the same ``t``.  Valid until the owning
+    cache serves its next matrix.
     """
 
     cache: Optional["DecisionCache"] = None
@@ -432,14 +461,15 @@ class DecisionCache:
     :meth:`matrix` returns the same candidate finish matrix as
     :func:`decision_matrix` — bit-identical by the invariants in the
     module docstring — but recomputes only the rows invalidated since
-    the previous decision.  The simulator owns the dirty bits: it calls
-    :meth:`invalidate` whenever a task's ``alpha``/``t_last``/``sigma``
-    change (failure rollback, redistribution commit) and
-    :meth:`note_budget` with the live free-processor count before each
-    decision.  All scratch is preallocated here and reused per
-    decision; `cache_info()` reports the patch/reuse/allocation
-    counters (also aggregated process-wide for
-    :class:`repro.engine.EngineStats`).
+    the previous decision, and only over the leading columns the
+    decision can read (invariant 4).  The simulator owns the dirty bits:
+    it calls :meth:`invalidate` whenever a task's
+    ``alpha``/``t_last``/``sigma`` change (failure rollback,
+    redistribution commit) and :meth:`note_budget` with the live
+    free-processor count before each decision.  All scratch is
+    preallocated here and reused per decision; `cache_info()` reports
+    the patch/reuse/allocation/column counters (also aggregated
+    process-wide for :class:`repro.engine.EngineStats`).
     """
 
     def __init__(self, model: ExpectedTimeModel):
@@ -466,6 +496,8 @@ class DecisionCache:
         self._stall = np.zeros(n)
         self._row_t = np.full(n, np.nan)    #: t each finish row was patched at
         self._row_stall = np.zeros(n)       #: stall each row was patched with
+        #: leading columns of each finish row valid at (_row_t, _row_stall)
+        self._row_w = np.zeros(n, dtype=np.int64)
         self._dirty = np.ones(n, dtype=bool)
         self._keep_valid = np.zeros(n, dtype=bool)
         self._pending = np.zeros(n, dtype=bool)
@@ -474,27 +506,34 @@ class DecisionCache:
         self._prof_pos = np.full(n, -1, dtype=np.int64)  #: row pos in _prof
         self._nff = np.empty((n, width))       #: last N^ff row
         self._nff_base = np.empty((n, width))  #: N^ff * exp_period
-        self._nff_valid = np.zeros(n, dtype=bool)
+        #: leading columns of _nff/_nff_base holding matching pairs
+        self._nff_w = np.zeros(n, dtype=np.int64)
         # -- per-decision scratch (reused, never reallocated) -----------
-        self._prof = np.empty((n, width))
-        self._left = np.empty((n, width))
-        self._right = np.empty((n, width))
+        # Flat buffers, viewed as contiguous (rows, window) blocks per
+        # pass (see _block): the window changes per decision, and
+        # elementwise passes over a contiguous block are several times
+        # faster than over a column slice of a full-width array.
+        self._prof = np.empty(n * width)
+        self._left = np.empty(n * width)
+        self._right = np.empty(n * width)
+        self._pb = np.empty(n * width)
+        self._pc = np.empty(n * width)
+        self._pd = np.empty(n * width)
         self._vals = np.empty((n, width))
-        self._sufrev = np.empty((n, width))
-        self._pb = np.empty((n, width))
-        self._pc = np.empty((n, width))
-        self._pd = np.empty((n, width))
         for i in range(n):
             self._cost_rows[i] = model.grid(i).cost
         self._sizes = np.fromiter(
             (model.pack[i].size for i in range(n)), dtype=float, count=n
         )
+        self._prof_cols = 0  #: columns of the latest _profile_rows pass
         self.budget: Optional[int] = None  #: last free-processor count seen
         self.rows_patched = 0
         self.rows_reused = 0
         self.profile_env_reused = 0
         self.profile_tau_patched = 0
         self.profile_rows_full = 0
+        self.columns_evaluated = 0
+        self.window_extensions = 0
         self.matrices_served = 0
         #: Preallocated ndarray blocks per cache (counted off the live
         #: attributes for the EngineStats allocation report, so adding
@@ -547,8 +586,9 @@ class DecisionCache:
         return self._rc[i]
 
     def _patch_row(self, i: int, t: float) -> None:
-        """Materialise one lazy row (operation-identical to the fresh
-        :meth:`DecisionMatrix._row`, but reusing the cached rc row)."""
+        """Materialise one lazy full-width row (operation-identical to
+        the fresh :meth:`DecisionMatrix._row`, but reusing the cached rc
+        row)."""
         model = self.model
         grid = model.grid(i)
         alpha = float(self._alpha_t[i])
@@ -559,8 +599,11 @@ class DecisionCache:
         )
         self._row_t[i] = t
         self._row_stall[i] = self._stall[i]
+        self._row_w[i] = self._width
         self.rows_patched += 1
+        self.columns_evaluated += self._width
         _PROCESS_DECISION_COUNTERS[0] += 1
+        _PROCESS_DECISION_COUNTERS[5] += self._width
 
     def envelope_value(self, i: int, alpha: float, k: int) -> float:
         """``model.profile(i, alpha)[slot(k)]`` off the envelope state.
@@ -570,21 +613,28 @@ class DecisionCache:
         envelope row the decision just evaluated in the ``_prof``
         workspace, skipping the model ring entirely.  Bit-identical by
         construction: the row is addressed through ``_prof_pos`` (valid
-        only for rows written by the *latest* ``_profile_rows`` pass)
-        and its alpha key, and the envelope is a pure function of
-        ``(task, quantised alpha)`` — a stale-but-matching row holds the
-        same bits a fresh evaluation would.  A cold, repurposed or
-        key-mismatched row falls back to the model (a ring hit whenever
-        the row was lazily materialised this decision).  ``k`` must be
-        an on-grid even count, which every heuristic's granted
+        only for rows written by the *latest* ``_profile_rows`` pass),
+        its alpha key and the pass's column extent, and the envelope
+        prefix is a pure function of ``(task, quantised alpha)`` — a
+        stale-but-matching row holds the same bits a fresh evaluation
+        would.  A cold, repurposed or key-mismatched row, or a slot past
+        the pass's window (say an STF commit after a windowed EndLocal
+        pass at the same alpha), falls back to the model.  ``k`` must
+        be an on-grid even count, which every heuristic's granted
         allocation is.
         """
-        pos = self._prof_pos[i]
-        if pos >= 0 and self._env_key[i] == int(round(alpha * _ALPHA_SCALE)):
+        pos = int(self._prof_pos[i])
+        slot = (k >> 1) - 1
+        cols = self._prof_cols
+        if (
+            pos >= 0
+            and slot < cols
+            and self._env_key[i] == int(round(alpha * _ALPHA_SCALE))
+        ):
             self.profile_env_reused += 1
             _PROCESS_DECISION_COUNTERS[3] += 1
-            return float(self._prof[pos, (k >> 1) - 1])
-        return float(self.model.profile(i, alpha)[(k >> 1) - 1])
+            return float(self._prof[pos * cols + slot])
+        return float(self.model.profile(i, alpha)[slot])
 
     # -- the decision-point entry point ------------------------------------
     def matrix(
@@ -595,17 +645,25 @@ class DecisionCache:
         *,
         with_keep: bool = False,
         lazy: bool = False,
+        cols: Optional[int] = None,
     ) -> DecisionMatrix:
         """The delta-patched :func:`decision_matrix` of this decision point.
 
         Bit-identical to a fresh build over the same ``tasks`` — only
-        rows whose task is dirty, whose stall changed, or whose last
-        patch was at a different ``t`` are recomputed (``lazy`` defers
-        those recomputations to first touch).  The returned matrix
-        aliases the cache's persistent arrays and is valid until the
-        next :meth:`matrix` call.
+        rows whose task is dirty, whose stall changed, whose last patch
+        was at a different ``t`` or over fewer columns are recomputed
+        (``lazy`` defers those recomputations to first touch).  ``cols``
+        is the decision's column window: candidate counts up to
+        ``2 * cols`` (clipped to the platform grid; ``None``, and every
+        ``lazy`` matrix, use the whole grid).  Stale rows are patched
+        over that window only, and the returned matrix exposes just
+        those columns, so a read past them raises instead of returning
+        a stale value.  The matrix aliases the cache's persistent arrays
+        and is valid until the next :meth:`matrix` call.
         """
         model = self.model
+        width = self._width
+        w = width if cols is None or lazy else min(int(cols), width)
         n_act = len(tasks)
         rows = np.fromiter(
             (rt.index for rt in tasks), dtype=np.int64, count=n_act
@@ -628,7 +686,11 @@ class DecisionCache:
             alpha_t[pos_f] = tasks[pos_f].alpha  # already rolled back
         self._alpha_t[rows] = alpha_t
         self._stall[rows] = stall
-        stale = (self._row_t[rows] != t) | (self._row_stall[rows] != stall)
+        stale = (
+            (self._row_t[rows] != t)
+            | (self._row_stall[rows] != stall)
+            | (self._row_w[rows] < w)
+        )
         sub = rows[stale]
         self.rows_reused += n_act - sub.size
         _PROCESS_DECISION_COUNTERS[1] += n_act - sub.size
@@ -638,7 +700,7 @@ class DecisionCache:
             self._pending[sub] = True
             pending = self._pending
         elif sub.size:
-            self._patch_rows(sub, t)
+            self._patch_rows(sub, t, w)
         if with_keep:
             self._patch_keep(rows)
         self.matrices_served += 1
@@ -649,7 +711,7 @@ class DecisionCache:
             j_init=self._sigma,
             alpha_t=self._alpha_t,
             stall=self._stall,
-            finishes=self._fin,
+            finishes=self._fin[:, :w],
             keep=self._keep if with_keep else None,
             pending=pending,
             # Rows == task indices, but map only the decision's active
@@ -659,8 +721,9 @@ class DecisionCache:
             cache=self,
         )
 
-    def _profile_rows(self, sub: np.ndarray, k: int) -> np.ndarray:
-        """Envelope rows of the stale tasks, delta-patched per task.
+    def _profile_rows(self, sub: np.ndarray, w: int) -> np.ndarray:
+        """Envelope rows of the stale tasks over columns ``[0, w)``,
+        delta-patched per task.
 
         Replaces the model-ring lookup (:meth:`~repro.resilience.
         expected_time.ExpectedTimeModel.profile_rows_into`) on the
@@ -670,32 +733,38 @@ class DecisionCache:
         workspace).  Two tiers per row:
 
         * **tau_last patch** — a task whose fresh ``N^ff`` row equals
-          the cached one reuses the cached ``N^ff * exp_period`` base
-          and recomputes only the ``expm1(lam * tau_last)`` term.  The
-          common case: between two nearby decision times the remaining
-          work moves a little, but ``floor(work / wpp)`` is piecewise
-          constant and rarely steps;
+          the cached one on ``[0, w)`` reuses the cached ``N^ff *
+          exp_period`` base and recomputes only the ``expm1(lam *
+          tau_last)`` term.  The common case: between two nearby
+          decision times the remaining work moves a little, but
+          ``floor(work / wpp)`` is piecewise constant and rarely steps;
         * **full evaluation** — everything else runs the complete fused
-          Eq. (4) pass and refreshes the cached ``N^ff`` state (with a
-          fast path when *every* row stepped: the bases are then
-          computed in one block multiply, skipping the cached-base
-          gather).
+          Eq. (4) pass and refreshes the cached ``N^ff`` state on
+          ``[0, w)`` (with a fast path when *every* row stepped: the
+          bases are then computed in one block multiply, skipping the
+          cached-base gather).
 
         Both tiers are bit-identical to ``profile_matrix`` /
-        ``profile_rows_into`` by construction: the same float64 values
-        flow through the same elementwise operations in the same order
-        (``N^ff`` equality is exact float comparison, and the cached
-        base holds the exact ``N^ff * exp_period`` product the fresh
-        pass would recompute).  Bypassing the model ring is value-safe
-        — profiles are pure functions of ``(task, quantised alpha)``,
-        never of cache history.  ``_prof_pos``/``_env_key`` record
-        which task owns each workspace row and at which alpha key, so
-        :meth:`envelope_value` can serve the commit-time scalar reads
-        of the same decision.
+        ``profile_rows_into`` on the window by construction: the same
+        float64 values flow through the same elementwise operations in
+        the same order, and the Eq. (6) running minimum of a prefix is
+        the prefix of the running minimum.  ``N^ff`` equality is exact
+        per column and each cached column holds the exact ``N^ff *
+        exp_period`` product of its own ``N^ff``, so a row's cached
+        columns stay usable after a narrower full evaluation rewrote
+        only their head (``_nff_w`` only grows).  Bypassing the model
+        ring is value-safe — profiles are pure functions of ``(task,
+        quantised alpha)``, never of cache history.  ``_prof_pos``/
+        ``_env_key``/``_prof_cols`` record which task owns each
+        workspace row, at which alpha key and over how many columns, so
+        :meth:`envelope_value` can serve the commit-time scalar reads of
+        the same decision.
         """
-        out = self._prof[:k]
+        k = sub.size
+        out = _block(self._prof, k, w)
         # Rows written below supersede any earlier workspace layout.
         self._prof_pos[:] = -1
+        self._prof_cols = w
         keys = np.rint(self._alpha_t[sub] * _ALPHA_SCALE).astype(np.int64)
         # Evaluate at the quantised alphas, like every profile path
         # (np.rint rounds half to even, matching the scalar
@@ -704,49 +773,48 @@ class DecisionCache:
         blocks = self.model._stacked_grids()
         rows = self.model.grid_rows
         gsub = sub if rows is None else rows[sub]  # block rows of sub
-        b = self._pb[:k]
-        c = self._pc[:k]
-        d = self._pd[:k]
-        np.take(blocks["t_ff"], gsub, axis=0, out=b)
-        np.multiply(alpha_q[:, None], b, out=c)   # c = work
-        np.take(blocks["wpp"], gsub, axis=0, out=b)
-        np.divide(c, b, out=d)
+        b = _block(self._pb, k, w)
+        c = _block(self._pc, k, w)
+        d = _block(self._pd, k, w)
+        np.multiply(alpha_q[:, None], blocks["t_ff"][gsub, :w], out=c)
+        wpp = blocks["wpp"][gsub, :w]             # c = work
+        np.divide(c, wpp, out=d)
         np.floor(d, out=d)                        # d = N^ff
-        np.multiply(d, b, out=b)
+        np.multiply(d, wpp, out=b)
         np.subtract(c, b, out=c)                  # c = tau_last
-        same = self._nff_valid[sub] & np.all(d == self._nff[sub], axis=1)
+        same = (self._nff_w[sub] >= w) & np.all(
+            d == self._nff[sub, :w], axis=1
+        )
         full_pos = np.nonzero(~same)[0]
         n_full = int(full_pos.size)
         if n_full == k:
             # Every row stepped: refresh the caches and turn d into the
             # bases in place — one block multiply, no cached-base gather
             # (bit-identical: same N^ff and exp_period operands).
-            self._nff[sub] = d
-            np.take(blocks["exp_period"], gsub, axis=0, out=b)
-            np.multiply(d, b, out=d)              # d = N^ff * exp_period
-            self._nff_base[sub] = d
-            self._nff_valid[sub] = True
+            self._nff[sub, :w] = d
+            np.multiply(d, blocks["exp_period"][gsub, :w], out=d)
+            self._nff_base[sub, :w] = d               # d = N^ff * exp_period
+            self._nff_w[sub] = np.maximum(self._nff_w[sub], w)
         else:
             if n_full:
                 full = sub[full_pos]
                 nff_rows = d[full_pos]
-                self._nff[full] = nff_rows
-                self._nff_base[full] = (
-                    nff_rows * blocks["exp_period"][gsub[full_pos]]
+                self._nff[full, :w] = nff_rows
+                self._nff_base[full, :w] = (
+                    nff_rows * blocks["exp_period"][gsub[full_pos], :w]
                 )
-                self._nff_valid[full] = True
-            np.take(self._nff_base, sub, axis=0, out=d)
+                self._nff_w[full] = np.maximum(self._nff_w[full], w)
+            d[...] = self._nff_base[sub, :w]
         n_tau = k - n_full
         self.profile_tau_patched += n_tau
         _PROCESS_DECISION_COUNTERS[4] += n_tau
         self.profile_rows_full += n_full
-        np.take(blocks["lam"], gsub, axis=0, out=b)
         with np.errstate(over="ignore"):
-            np.multiply(b, c, out=c)
+            np.multiply(blocks["lam"][gsub, :w], c, out=c)
             np.expm1(c, out=c)                    # c = expm1(lam tau_last)
             np.add(d, c, out=c)                   # c = base + expm1 term
-            np.take(blocks["prefactor"], gsub, axis=0, out=b)
-            np.multiply(b, c, out=out)            # raw Eq. (4) rows
+            # raw Eq. (4) rows
+            np.multiply(blocks["prefactor"][gsub, :w], c, out=out)
         zero = alpha_q <= 0.0
         if bool(np.any(zero)):
             out[zero] = 0.0
@@ -755,8 +823,9 @@ class DecisionCache:
         self._prof_pos[sub] = np.arange(k)
         return out
 
-    def _patch_rows(self, sub: np.ndarray, t: float) -> None:
-        """Recombine the stale rows in one fused pass over the scratch.
+    def _patch_rows(self, sub: np.ndarray, t: float, w: int) -> None:
+        """Recombine the stale rows over columns ``[0, w)`` in one fused
+        pass over the scratch.
 
         Operation order is exactly the fresh build's
         ``((t + stall)[:, None] + rc) + (cost + profiles)``.
@@ -770,20 +839,21 @@ class DecisionCache:
         k = sub.size
         self.rows_reused += k - need.size  # RC rows with an unchanged sigma
         _PROCESS_DECISION_COUNTERS[1] += k - need.size
-        prof = self._profile_rows(sub, k)
-        left = self._left[:k]
-        np.take(self._rc, sub, axis=0, out=left)
+        prof = self._profile_rows(sub, w)
+        left = _block(self._left, k, w)
         ts = t + self._stall[sub]
-        np.add(ts[:, None], left, out=left)
-        right = self._right[:k]
-        np.take(self._cost_rows, sub, axis=0, out=right)
-        np.add(right, prof, out=right)
+        np.add(ts[:, None], self._rc[sub, :w], out=left)
+        right = _block(self._right, k, w)
+        np.add(self._cost_rows[sub, :w], prof, out=right)
         np.add(left, right, out=left)
-        self._fin[sub] = left
+        self._fin[sub, :w] = left
         self._row_t[sub] = t
         self._row_stall[sub] = self._stall[sub]
+        self._row_w[sub] = w
         self.rows_patched += k
+        self.columns_evaluated += k * w
         _PROCESS_DECISION_COUNTERS[0] += k
+        _PROCESS_DECISION_COUNTERS[5] += k * w
 
     def _patch_keep(self, rows: np.ndarray) -> None:
         """Refresh the keep-running finishes of the rows touched since
@@ -808,30 +878,48 @@ class DecisionCache:
         self._keep[need] = self._t_expected[need]
         self._keep_valid[need] = True
 
-    # -- the incremental-heap rebuild block ---------------------------------
-    def rebuild_block(
-        self, dm: DecisionMatrix
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Scratch blocks for the Algorithm-5 incremental-heap loop.
+    # -- the Algorithm-5 grant-loop block -----------------------------------
+    def rebuild_block(self, dm: DecisionMatrix) -> np.ndarray:
+        """Scratch rows for the Algorithm-5 grant loop, over ``dm``'s window.
 
-        Returns ``(vals, sufrev, width)``: ``vals[pos]`` is task
-        ``dm.indices[pos]``'s finish row with the keep-running candidate
-        patched in (i.e. ``dm.rebuild_finish`` by slot), ``sufrev`` its
-        reversed running minimum, so ``sufrev[pos, width - 1 - s]`` is
-        ``min(vals[pos, s:])`` — the O(1) "can this task still improve"
-        probe of the grant loop.  Both are cache-owned scratch, valid
-        until the next :meth:`matrix` call.
+        Returns ``vals`` (one full-width scratch row per position of
+        ``dm.indices``) whose leading ``w = dm.finishes.shape[1]``
+        columns hold the task's finish row with the keep-running
+        candidate patched in (i.e. ``dm.rebuild_finish`` by slot); the
+        columns after ``w`` are stale until :meth:`widen_row` extends
+        the row.  Cache-owned scratch, valid until the next
+        :meth:`matrix` call.
         """
         idx = np.fromiter(dm.indices, dtype=np.int64, count=len(dm.indices))
-        k = idx.size
-        vals = self._vals[:k]
-        np.take(self._fin, idx, axis=0, out=vals)
+        w = dm.finishes.shape[1]
+        vals = self._vals[:idx.size]
+        vals[:, :w] = self._fin[idx, :w]
         slots = (self._sigma[idx] >> 1) - 1
-        vals[np.arange(k), slots] = self._keep[idx]
-        sufrev = self._sufrev[:k]
-        sufrev[:] = vals[:, ::-1]
-        np.minimum.accumulate(sufrev, axis=1, out=sufrev)
-        return vals, sufrev, self._width
+        inside = np.nonzero(slots < w)[0]
+        vals[inside, slots[inside]] = self._keep[idx[inside]]
+        return vals
+
+    def widen_row(
+        self, vals: np.ndarray, pos: int, i: int, t: float, cols: int
+    ) -> None:
+        """Extend row ``pos`` (task ``i``) of a :meth:`rebuild_block` to
+        ``cols`` columns, exactly.
+
+        The task's finish row is re-patched over ``[0, cols)`` at the
+        decision's own ``t``/stall/``alpha^t`` (still in the mirrors)
+        unless an earlier same-``t`` decision already left it that wide;
+        by invariant 4 the new columns equal a full-width build's.  The
+        re-patch starts a new ``_prof`` workspace layout, so the other
+        rows' commit-time reads fall back to the model (same values).
+        """
+        if self._row_w[i] < cols:
+            self._patch_rows(np.array([i], dtype=np.int64), t, cols)
+        vals[pos, :cols] = self._fin[i, :cols]
+        slot = (int(self._sigma[i]) >> 1) - 1
+        if slot < cols:
+            vals[pos, slot] = self._keep[i]
+        self.window_extensions += 1
+        _PROCESS_DECISION_COUNTERS[6] += 1
 
     def cache_info(self) -> Dict[str, int | float]:
         """Patch/reuse counters of this cache (diagnostics)."""
@@ -844,6 +932,8 @@ class DecisionCache:
             "profile_env_reused": self.profile_env_reused,
             "profile_tau_patched": self.profile_tau_patched,
             "profile_rows_full": self.profile_rows_full,
+            "columns_evaluated": self.columns_evaluated,
+            "window_extensions": self.window_extensions,
             "scratch_allocations": self.scratch_allocations,
             "budget": self.budget if self.budget is not None else -1,
         }

@@ -106,6 +106,8 @@ class EngineStats:
     decision_scratch_allocs: int = 0  #: scratch ndarrays preallocated by caches
     decision_profile_env_reused: int = 0  #: profile rows copied from the env cache
     decision_profile_tau_patched: int = 0  #: profile rows via the tau_last patch
+    decision_columns_evaluated: int = 0  #: finish-matrix cells patched
+    decision_window_extensions: int = 0  #: rebuild rows widened past a window
     retries: int = 0            #: retried attempts (in-place + chunk resubmits)
     requeues: int = 0           #: stale claims pushed back onto the queue
     dead_lettered: int = 0      #: chunks quarantined after exhausting retries
@@ -136,6 +138,8 @@ class EngineStats:
             "decision_scratch_allocs": self.decision_scratch_allocs,
             "decision_profile_env_reused": self.decision_profile_env_reused,
             "decision_profile_tau_patched": self.decision_profile_tau_patched,
+            "decision_columns_evaluated": self.decision_columns_evaluated,
+            "decision_window_extensions": self.decision_window_extensions,
             "retries": self.retries,
             "requeues": self.requeues,
             "dead_lettered": self.dead_lettered,
@@ -215,6 +219,8 @@ class EngineStats:
             f"reuse rate: {self.decision_reuse_rate():.1%} "
             f"profile env reuses: {self.decision_profile_env_reused} "
             f"tau patches: {self.decision_profile_tau_patched} "
+            f"columns evaluated: {self.decision_columns_evaluated} "
+            f"window extensions: {self.decision_window_extensions} "
             f"(scratch allocations: {self.decision_scratch_allocs})"
         )
 
@@ -274,7 +280,7 @@ def _execute_chunk(
     List[Any],
     Tuple[int, int],
     Tuple[int, int],
-    Tuple[int, int, int, int, int],
+    Tuple[int, ...],
     Tuple[int],
 ]:
     """Run one contiguous chunk in the current process.
@@ -485,14 +491,14 @@ class Executor:
         self,
         workloads: Tuple[int, int],
         profiles: Tuple[int, int],
-        decisions: Tuple[int, int, int, int, int],
+        decisions: Tuple[int, ...],
         engine: Tuple[int] = (0,),
     ) -> None:
         """Fold one chunk's cache/engine deltas into the statistics.
 
         ``decisions`` tuples from journals written before the
-        profile-delta counters existed carry three entries; the two new
-        slots then stay zero.
+        profile-delta counters existed carry three entries, and before
+        the column counters five; the missing slots then stay zero.
         """
         self._stats.workloads_reused += workloads[0]
         self._stats.workloads_built += workloads[1]
@@ -504,6 +510,9 @@ class Executor:
         if len(decisions) > 3:
             self._stats.decision_profile_env_reused += decisions[3]
             self._stats.decision_profile_tau_patched += decisions[4]
+        if len(decisions) > 5:
+            self._stats.decision_columns_evaluated += decisions[5]
+            self._stats.decision_window_extensions += decisions[6]
         self._stats.retries += engine[0]
 
     def _fold_output(self, chunk_output: Tuple) -> None:

@@ -236,6 +236,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "engine[serial]:" in out
         assert "reused workloads" in out
+        assert "columns evaluated:" in out
+        assert "window extensions:" in out
 
     def test_validate_with_engine(self, capsys):
         code = main(

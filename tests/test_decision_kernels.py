@@ -90,7 +90,9 @@ class TestSimulationsBitIdentical:
         results = {}
         for kernel in KERNELS:
             model = ExpectedTimeModel(pack, cluster)
-            results[kernel] = Simulator(
+            # The array run's decision cache NaN-poisons every column
+            # past its windows, so a stray read changes the result.
+            results[kernel] = _PoisoningSimulator(
                 pack,
                 cluster,
                 policy,
@@ -221,26 +223,62 @@ class TestAlgorithmKernels:
         assert states["array"] == states["scalar"]
 
 
-class _CheckingCache(DecisionCache):
+class _PoisoningCache(DecisionCache):
+    """A cache that NaN-poisons every column past a row's valid extent.
+
+    After each windowed patch, the columns of ``_fin`` past the patched
+    rows' window, the whole ``_prof`` workspace past the pass's rows
+    and columns, and the rebuild block past its window hold NaN.  A
+    stray out-of-window read then compares false or turns a committed
+    finish into NaN, which changes a decision — so every bit-identity
+    check run on this cache also proves the column windows are never
+    overstepped.
+    """
+
+    def _patch_rows(self, sub, t, w):
+        super()._patch_rows(sub, t, w)
+        self._fin[sub, w:] = np.nan
+        self._prof[sub.size * w:] = np.nan
+
+    def rebuild_block(self, dm):
+        vals = super().rebuild_block(dm)
+        vals[:, dm.finishes.shape[1]:] = np.nan
+        return vals
+
+
+class _PoisoningSimulator(Simulator):
+    def _make_decision_cache(self):
+        return _PoisoningCache(self.model)
+
+
+class _CheckingCache(_PoisoningCache):
     """A cache that proves every served matrix against a fresh build.
 
     At each decision point the delta-patched matrix (the lazy rows
     forced through their on-demand patch path) must be bit-identical to
-    a from-scratch :func:`decision_matrix` over the same tasks.
+    a from-scratch :func:`decision_matrix` over the same tasks, on every
+    column the decision can read: the matrix's column window, every
+    Algorithm-5 rebuild block, and each row the rebuild later widens.
     """
 
     def __init__(self, model):
         super().__init__(model)
         self.checked = 0
+        self.widened = 0
+        self._fresh = None
 
-    def matrix(self, t, tasks, faulty=None, *, with_keep=False, lazy=False):
+    def matrix(
+        self, t, tasks, faulty=None, *, with_keep=False, lazy=False, cols=None
+    ):
         dm = super().matrix(
-            t, tasks, faulty, with_keep=with_keep, lazy=lazy
+            t, tasks, faulty, with_keep=with_keep, lazy=lazy, cols=cols
         )
         fresh = decision_matrix(
             self.model, t, tasks, faulty, with_keep=with_keep
         )
-        j_max = int(self.model.j_grid[-1])
+        w = dm.finishes.shape[1]
+        if cols is None or lazy:
+            assert w == self.model.j_grid.size
         for row, rt in enumerate(tasks):
             i = rt.index
             assert dm.alpha_of(i) == fresh.alpha_of(i)
@@ -249,12 +287,29 @@ class _CheckingCache(DecisionCache):
             # finish_range materialises lazy rows through the cache's
             # on-demand patch, so both patch paths are exercised.
             assert np.array_equal(
-                dm.finish_range(i, 2, j_max), fresh.finishes[row]
+                dm.finish_range(i, 2, 2 * w), fresh.finishes[row, :w]
             )
             if with_keep:
                 assert dm.keep_finish(i) == fresh.keep_finish(i)
+        self._fresh = fresh
         self.checked += 1
         return dm
+
+    def rebuild_block(self, dm):
+        vals = super().rebuild_block(dm)
+        w = dm.finishes.shape[1]
+        for pos, i in enumerate(dm.indices):
+            assert np.array_equal(
+                vals[pos, :w], self._fresh.rebuild_range(i, 2, 2 * w)
+            )
+        return vals
+
+    def widen_row(self, vals, pos, i, t, cols):
+        super().widen_row(vals, pos, i, t, cols)
+        assert np.array_equal(
+            vals[pos, :cols], self._fresh.rebuild_range(i, 2, 2 * cols)
+        )
+        self.widened += 1
 
 
 class _CheckingSimulator(Simulator):
@@ -320,6 +375,11 @@ class TestDecisionStateBitIdentical:
         assert result.failures_effective > 0
         assert sim.checking_cache.checked > 0
         assert sim.checking_cache.rows_reused > 0
+        # Windows are in use and a rebuild row outgrew one (and was
+        # checked against the fresh build when it was widened).
+        cache = sim.checking_cache
+        assert cache.columns_evaluated < cache.rows_patched * cache._width
+        assert cache.widened > 0
 
     def test_unknown_decision_state_rejected(self):
         pack, cluster, _ = build(0, 3, 8)
@@ -356,6 +416,10 @@ class TestDecisionStateBitIdentical:
         assert 0.0 < info["reuse_rate"] < 1.0
         assert info["scratch_allocations"] > 0
         assert info["budget"] >= 0  # the live free count was tracked
+        assert 0 < info["columns_evaluated"] < (
+            info["rows_patched"] * sim.model.j_grid.size
+        )
+        assert info["window_extensions"] == sim.checking_cache.widened
 
     def test_direct_cache_reuse_across_same_t_decisions(self):
         """Consecutive decisions at one t reuse clean rows verbatim."""
@@ -382,6 +446,201 @@ class TestDecisionStateBitIdentical:
             assert np.array_equal(
                 third.finishes[rt.index], fresh.finishes[row]
             )
+
+
+class TestColumnWindows:
+    """Decisions evaluate only the columns they can read, exactly."""
+
+    @pytest.mark.parametrize("figure", ["fig7", "fig10"])
+    def test_fault_series_match_scalar_with_poisoned_windows(
+        self, figure, monkeypatch
+    ):
+        """Every FAULT_SERIES policy, NaN past every window, == scalar."""
+        from repro.experiments.figures import run_figure
+
+        reference = run_figure(
+            figure, scale="tiny", seed=1, engine="serial",
+            simulator_options={"decision_kernel": "scalar"},
+        )
+        caches = []
+
+        def make_cache(sim):
+            caches.append(_PoisoningCache(sim.model))
+            return caches[-1]
+
+        monkeypatch.setattr(Simulator, "_make_decision_cache", make_cache)
+        poisoned = run_figure(figure, scale="tiny", seed=1, engine="serial")
+        assert poisoned.x_values == reference.x_values
+        assert poisoned.means == reference.means
+        assert poisoned.normalized == reference.normalized
+        assert caches
+        columns = sum(c.columns_evaluated for c in caches)
+        full = sum(c.rows_patched * c._width for c in caches)
+        assert 0 < columns < full
+
+    def test_windowed_matrix_exposes_only_its_columns(self):
+        from repro.exceptions import SimulationError
+
+        _, _, model = build(4, 4, 40)
+        runtimes = make_runtimes(model, 40)
+        t = 0.3 * min(rt.t_expected for rt in runtimes)
+        cache = _PoisoningCache(model)
+        dm = cache.matrix(t, runtimes, cols=3)
+        fresh = decision_matrix(model, t, runtimes)
+        assert dm.finishes.shape[1] == 3
+        assert cache.columns_evaluated == 3 * len(runtimes)
+        for row, rt in enumerate(runtimes):
+            assert np.array_equal(
+                dm.finish_range(rt.index, 2, 6), fresh.finishes[row, :3]
+            )
+            with pytest.raises(SimulationError):
+                dm.finish(rt.index, 8)
+            with pytest.raises(SimulationError):
+                dm.finish_range(rt.index, 2, 8)
+
+    def test_wider_decision_repatches_narrower_reuses(self):
+        _, _, model = build(5, 4, 40)
+        runtimes = make_runtimes(model, 40)
+        t = 0.4 * min(rt.t_expected for rt in runtimes)
+        n = len(runtimes)
+        cache = _PoisoningCache(model)
+        cache.matrix(t, runtimes, cols=2)
+        assert cache.rows_patched == n
+        cache.matrix(t, runtimes, cols=2)
+        assert cache.rows_patched == n  # same t, same window: reused
+        wide = cache.matrix(t, runtimes, cols=7)
+        assert cache.rows_patched == 2 * n  # too narrow: re-patched
+        fresh = decision_matrix(model, t, runtimes)
+        for row, rt in enumerate(runtimes):
+            assert np.array_equal(
+                wide.finishes[rt.index], fresh.finishes[row, :7]
+            )
+        narrow = cache.matrix(t, runtimes, cols=4)
+        assert cache.rows_patched == 2 * n  # wider rows serve narrower
+        assert narrow.finishes.shape[1] == 4
+        full = cache.matrix(t, runtimes)
+        assert full.finishes.shape[1] == model.j_grid.size
+        for row, rt in enumerate(runtimes):
+            assert np.array_equal(full.finishes[rt.index], fresh.finishes[row])
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=0.2),  # t advance
+                st.integers(min_value=1, max_value=25),   # window
+                st.integers(min_value=-1, max_value=4),   # touched task
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_window_sequences_match_fresh_build(self, seed, steps):
+        """Windows growing, shrinking and repeating across decision
+        times and dirty tasks (which also walks the per-column N^ff
+        state through narrower and wider passes)."""
+        _, _, model = build(seed, 5, 40)
+        runtimes = make_runtimes(model, 40)
+        horizon = min(rt.t_expected for rt in runtimes)
+        cache = _PoisoningCache(model)
+        t = 0.05 * horizon
+        for advance, cols, touched in steps:
+            t += advance * horizon
+            if touched >= 0:
+                rt = runtimes[touched]
+                rt.alpha = remaining_at(model, rt, t)
+                rt.t_last = t
+                cache.invalidate(rt.index)
+            dm = cache.matrix(t, runtimes, cols=cols)
+            fresh = decision_matrix(model, t, runtimes)
+            w = dm.finishes.shape[1]
+            assert w == min(cols, model.j_grid.size)
+            for row, rt in enumerate(runtimes):
+                assert np.array_equal(
+                    dm.finishes[rt.index], fresh.finishes[row, :w]
+                )
+
+    def test_commit_past_a_windowed_pass_reads_the_model(self):
+        """Regression: a windowed pass leaves its tasks in the ``_prof``
+        workspace; a later commit at the same alpha but a count past
+        the pass's window (an STF grant) must not read the workspace."""
+        from repro.core.heuristics import apply_move
+
+        _, _, model = build(6, 4, 40)
+        runtimes = make_runtimes(model, 40)
+        t = 0.3 * min(rt.t_expected for rt in runtimes)
+        cache = _PoisoningCache(model)
+        dm = cache.matrix(t, runtimes, cols=2)
+        i = runtimes[0].index
+        alpha = dm.alpha_of(i)
+        top = int(model.j_grid[-1])
+        # Inside the window the workspace serves the read ...
+        reused = cache.profile_env_reused
+        assert cache.envelope_value(i, alpha, 4) == model.profile(i, alpha)[1]
+        assert cache.profile_env_reused == reused + 1
+        # ... past it the model does, with the same bits.
+        assert cache.envelope_value(i, alpha, top) == (
+            model.profile(i, alpha)[-1]
+        )
+        assert cache.profile_env_reused == reused + 1
+        moved, plain = TaskRuntime(model.pack[i]), TaskRuntime(model.pack[i])
+        for rt in (moved, plain):
+            rt.assign(runtimes[0].sigma)
+        apply_move(model, moved, t, 0.0, runtimes[0].sigma, top, alpha,
+                   cache=cache)
+        apply_move(model, plain, t, 0.0, runtimes[0].sigma, top, alpha)
+        assert moved.t_expected == plain.t_expected
+
+    def test_end_local_then_stf_past_its_window_matches_scalar(self):
+        """The sequence that exposed the hazard, at tiny scale: a
+        windowed EndLocal pass while every task is still busy (so
+        ``alpha^t == alpha``), then a failure before the struck task's
+        first checkpoint (same alpha key) and an STF decision that
+        grants it the processors of a completed task, past the
+        EndLocal window."""
+        p = 40
+        states = {}
+        for kernel in KERNELS:
+            _, _, model = build(0, 4, p)
+            sigma = optimal_schedule(model, p - 2)
+            t1 = 1000.0
+            runtimes = []
+            for i, spec in enumerate(model.pack):
+                rt = TaskRuntime(spec)
+                rt.assign(sigma[i])
+                rt.t_last = t1 + 50.0  # still redistributing at t1
+                rt.t_expected = rt.t_last + model.expected_time(
+                    i, sigma[i], 1.0
+                )
+                runtimes.append(rt)
+            cache = _PoisoningCache(model) if kernel == "array" else None
+            changed = EndLocal().apply(
+                model, t1, runtimes, 2, kernel=kernel, cache=cache
+            )
+            free = p - sum(rt.sigma for rt in runtimes)
+            window = (max(sigma.values()) + 2) >> 1
+            done = min(runtimes, key=lambda rt: rt.t_expected)
+            rest = [rt for rt in runtimes if rt is not done]
+            free += done.sigma
+            rt_f = max(rest, key=lambda rt: rt.t_expected)
+            f = rt_f.index
+            t2 = rt_f.t_last + 1.0  # before its first checkpoint
+            rt_f.t_last = t2 + model.restart_overhead(f, rt_f.sigma)
+            rt_f.t_expected = rt_f.t_last + model.expected_time(
+                f, rt_f.sigma, rt_f.alpha
+            )
+            if cache is not None:
+                for i in changed + [f]:
+                    cache.invalidate(i)
+                # The struck task's EndLocal workspace row is still live.
+                assert cache._prof_pos[f] >= 0
+            ShortestTasksFirst().apply(
+                model, t2, rest, free, f, kernel=kernel, cache=cache
+            )
+            states[kernel] = snapshot(rest)
+            assert (rt_f.sigma >> 1) > window  # granted past the window
+        assert states["array"] == states["scalar"]
 
 
 class TestProfileRowsInto:

@@ -157,8 +157,9 @@ class TestWorkerServe:
         assert list(results) == [execute_request(r) for r in requests]
         # One delta per process decision counter (kernels.py:
         # rows_patched, rows_reused, scratch_allocations,
-        # profile_env_reused, profile_tau_patched).
-        assert len(decisions) == 5
+        # profile_env_reused, profile_tau_patched, columns_evaluated,
+        # window_extensions).
+        assert len(decisions) == 7
         assert engine == (0,)
 
     def test_error_payload_carries_the_traceback(self, tmp_path):
@@ -487,6 +488,9 @@ class TestQueueStatsAcrossBoundary:
             stats = executor.stats()
         assert stats.profile_hits + stats.profile_misses > 0
         assert stats.decision_rows_patched + stats.decision_rows_reused > 0
+        # The column-window counters ride home beside the row counters.
+        assert 0 < stats.decision_columns_evaluated
+        assert stats.cache_info()["decision_window_extensions"] >= 0
         assert stats.workloads_built >= 1
 
     def test_cli_verbose_reports_queue_statistics(self, capsys):

@@ -141,32 +141,38 @@ class TestDecisionCacheProfileDeltas:
         # Two successive _profile_rows passes with slightly moved alphas:
         # rows whose N^ff held take the tau_last-only patch, rows whose
         # N^ff stepped re-evaluate — either way the result must equal the
-        # reference substrate evaluated from scratch at the same alphas.
+        # reference substrate evaluated from scratch at the same alphas,
+        # on the pass's column window (each pass over its own window,
+        # so the second may need columns the first never evaluated).
         reference, fast = build_models(n, pairs, mtbf, seed, ("fused",))
         cache = DecisionCache(fast["fused"])
+        width = fast["fused"].j_grid.size
+        windows = st.integers(min_value=1, max_value=width)
+        w1, w2 = data.draw(windows), data.draw(windows)
         sub = np.arange(n)
         first = np.array([data.draw(alphas) for _ in range(n)])
         # A relative nudge this small rarely moves floor(work / wpp),
         # so the second pass exercises the patch tier.
         second = first * (1.0 - 1e-9)
         cache._alpha_t[:n] = first
-        cache._profile_rows(sub, n)
+        cache._profile_rows(sub, w1)
         cache._alpha_t[:n] = second
-        got = cache._profile_rows(sub, n)
+        got = cache._profile_rows(sub, w2)
         want = reference.profile_matrix(range(n), second)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want[:, :w2])
 
     def test_tau_patch_tier_fires_on_stable_nff(self):
         # Deterministic counter check: identical alphas guarantee the
         # N^ff rows cannot move, so the second pass must patch every row.
         _, fast = build_models(4, 16, 0.02, 7, ("fused",))
         cache = DecisionCache(fast["fused"])
+        width = fast["fused"].j_grid.size
         sub = np.arange(4)
         cache._alpha_t[:4] = [0.9, 0.7, 0.5, 0.0]
-        cache._profile_rows(sub, 4)
+        cache._profile_rows(sub, width)
         assert cache.profile_rows_full == 4
         before = cache.profile_tau_patched
-        first = cache._profile_rows(sub, 4).copy()
+        first = cache._profile_rows(sub, width).copy()
         assert cache.profile_tau_patched == before + 4
         # And the patched rows equal the fully evaluated ones bit for bit.
         assert np.array_equal(
