@@ -16,8 +16,9 @@ core over the ``profile_backend="reference"`` substrate
 (``--min-failure-heavy-speedup``, default 2x at small/paper scale and
 1.25x on the tiny CI leg — the hot-core target is an at-scale claim),
 and the incremental decision state over the fresh build on the
-completion-heavy run (``--min-completion-heavy-speedup``, default 3x at
-small/paper and 2x at tiny — the column-windowed decision rows).
+completion-heavy run (a fixed floor, ``bench_decisions.
+COMPLETION_HEAVY_FLOOR``: 3x at small/paper and 2x at tiny — the
+column-windowed decision rows).
 The scheduling service rides the same gate
 (:mod:`benchmarks.bench_service` vs ``BENCH_service.json``): the
 arrival replay must stay byte-identical, and the p99 re-pack latency
@@ -101,9 +102,6 @@ DEFAULT_MIN_STATE_SPEEDUP = 1.3
 #: Scale-aware: 2x at small/paper, relaxed on the tiny CI leg (see
 #: ``bench_decisions.FAILURE_HEAVY_FLOORS``).
 DEFAULT_MIN_FAILURE_HEAVY_SPEEDUP = FAILURE_HEAVY_FLOOR
-#: Floor on the incremental-vs-rebuild speedup on the completion-heavy
-#: run, scale-aware (see ``bench_decisions.COMPLETION_HEAVY_FLOORS``).
-DEFAULT_MIN_COMPLETION_HEAVY_SPEEDUP = COMPLETION_HEAVY_FLOOR
 
 
 def _check_against_baseline(
@@ -184,16 +182,14 @@ def check_decisions(
     min_kernel_speedup: float = DEFAULT_MIN_KERNEL_SPEEDUP,
     min_state_speedup: float = DEFAULT_MIN_STATE_SPEEDUP,
     min_failure_heavy_speedup: float = DEFAULT_MIN_FAILURE_HEAVY_SPEEDUP,
-    min_completion_heavy_speedup: float = (
-        DEFAULT_MIN_COMPLETION_HEAVY_SPEEDUP
-    ),
 ) -> tuple[bool, str]:
     """Decision gate: fresh run vs ``BENCH_decisions.json``.
 
     Enforces all four host-relative floors — the array-vs-scalar
     kernel speedup, the incremental-vs-rebuild decision-state speedup,
     the hot-core-vs-reference-substrate failure-heavy speedup and the
-    incremental-vs-rebuild completion-heavy speedup.
+    incremental-vs-rebuild completion-heavy speedup (the last one at
+    the fixed scale-aware ``COMPLETION_HEAVY_FLOOR``).
     The committed baseline is recorded at ``small`` scale while CI runs
     ``tiny``, so the scale is part of the comparability test.
     """
@@ -223,7 +219,7 @@ def check_decisions(
             (
                 "sim_completion_heavy_speedup",
                 sim_completion_heavy_speedup(fresh),
-                min_completion_heavy_speedup,
+                COMPLETION_HEAVY_FLOOR,
             ),
         ],
     )
@@ -327,15 +323,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--min-completion-heavy-speedup", type=float,
-        default=DEFAULT_MIN_COMPLETION_HEAVY_SPEEDUP,
-        help=(
-            "required incremental-vs-rebuild completion-heavy speedup "
-            f"(default {DEFAULT_MIN_COMPLETION_HEAVY_SPEEDUP:g} at "
-            f"REPRO_BENCH_SCALE={DECISIONS_SCALE})"
-        ),
-    )
-    parser.add_argument(
         "--service-baseline", type=Path, default=SERVICE_BASELINE,
         help="recorded service replay baseline JSON",
     )
@@ -364,7 +351,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     dec_ok, dec_report = check_decisions(
         args.decisions_baseline, args.threshold, args.min_kernel_speedup,
         args.min_state_speedup, args.min_failure_heavy_speedup,
-        args.min_completion_heavy_speedup,
     )
     print(dec_report)
     ok &= dec_ok

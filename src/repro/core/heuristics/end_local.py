@@ -68,9 +68,7 @@ class EndLocal(CompletionHeuristic):
     ) -> List[int]:
         by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
         if cache is not None:
-            # Reads stay within sigma_init(i) + free <= max sigma + free.
-            cols = (max(rt.sigma for rt in tasks) + free) >> 1
-            dm = cache.matrix(t, tasks, cols=cols)
+            dm = cache.matrix(t, tasks, free=free)
         else:
             dm = decision_matrix(model, t, tasks, lazy=True)
 

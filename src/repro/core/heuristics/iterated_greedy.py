@@ -90,11 +90,12 @@ def _greedy_rebuild_cached(
     every comparison reads the same doubles.  Three loop mechanics
     differ without changing any decision:
 
-    * rows are patched over a column window only — ``(max sigma_init +
-      free) / 2`` slots, where the rebuilt allocation usually lands —
-      and a row is extended exactly (:meth:`~repro.core.kernels.
-      DecisionCache.widen_row`) only when a probe's budget ``s + avail``
-      passes its window and the window holds no improving candidate.
+    * rows are patched over the cache's column window only — ``(max
+      sigma_init + free) / 2`` slots, where the rebuilt allocation
+      usually lands — and a row is extended exactly
+      (:meth:`~repro.core.kernels.DecisionCache.widen_row`) only when
+      a probe's budget ``s + avail`` passes its window and the window
+      holds no improving candidate.
       ``s + avail`` never grows during one rebuild (a grant moves one
       pair from ``avail`` to ``s``), so a row is extended at most once;
     * the "can this task still improve within the remaining budget"
@@ -106,9 +107,8 @@ def _greedy_rebuild_cached(
       the heap only sees traffic when the longest task actually
       changes — the entries invalidated by the granted pair.
     """
-    sigmas = [rt.sigma for rt in tasks]
-    window = (max(sigmas) + capacity - sum(sigmas)) >> 1  # max sigma + free
-    dm = cache.matrix(t, tasks, faulty=faulty, with_keep=True, cols=window)
+    free = capacity - sum(rt.sigma for rt in tasks)
+    dm = cache.matrix(t, tasks, faulty=faulty, with_keep=True, free=free)
     vals = cache.rebuild_block(dm)
     width = model.j_grid.size
     indices = dm.indices

@@ -433,6 +433,18 @@ def _block(buf: np.ndarray, k: int, w: int) -> np.ndarray:
     return buf[:k * w].reshape(k, w)
 
 
+def _take(src: np.ndarray, ix: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``src[rows, :w]`` gathered into the head of the flat scratch
+    ``buf``, as a ``(k, w)`` block, through the flat positions ``ix``
+    (:meth:`DecisionCache._flat_index`) of a C-contiguous ``src`` —
+    a fancy ``src[rows, :w]`` would allocate a fresh block per pass.
+    ``mode="wrap"`` skips the bounds-check buffer (every position is in
+    range by construction)."""
+    out = buf[:ix.size].reshape(ix.shape)
+    np.take(src, ix, out=out, mode="wrap")
+    return out
+
+
 @dataclass
 class _CacheMatrix(DecisionMatrix):
     """A :class:`DecisionMatrix` whose rows live in a :class:`DecisionCache`.
@@ -520,6 +532,14 @@ class DecisionCache:
         self._pc = np.empty(n * width)
         self._pd = np.empty(n * width)
         self._vals = np.empty((n, width))
+        # Flat positions of a pass's [rows, :w] cells — in the cache's
+        # (task, width) arrays and in the model's grid blocks (whose
+        # rows differ when the model is store-backed) — so every
+        # windowed gather lands in the scratch above (see _take).
+        self._ix = np.empty(n * width, dtype=np.int64)
+        self._gix = np.empty(n * width, dtype=np.int64)
+        self._eq = np.empty(n * width, dtype=bool)
+        self._col_ids = np.arange(width, dtype=np.int64)
         for i in range(n):
             self._cost_rows[i] = model.grid(i).cost
         self._sizes = np.fromiter(
@@ -645,25 +665,28 @@ class DecisionCache:
         *,
         with_keep: bool = False,
         lazy: bool = False,
-        cols: Optional[int] = None,
+        free: Optional[int] = None,
     ) -> DecisionMatrix:
         """The delta-patched :func:`decision_matrix` of this decision point.
 
         Bit-identical to a fresh build over the same ``tasks`` — only
         rows whose task is dirty, whose stall changed, whose last patch
         was at a different ``t`` or over fewer columns are recomputed
-        (``lazy`` defers those recomputations to first touch).  ``cols``
-        is the decision's column window: candidate counts up to
-        ``2 * cols`` (clipped to the platform grid; ``None``, and every
-        ``lazy`` matrix, use the whole grid).  Stale rows are patched
-        over that window only, and the returned matrix exposes just
-        those columns, so a read past them raises instead of returning
-        a stale value.  The matrix aliases the cache's persistent arrays
-        and is valid until the next :meth:`matrix` call.
+        (``lazy`` defers those recomputations to first touch).  ``free``
+        is the decision's free-processor budget; it sets the column
+        window (invariant 4): no task can reach more than ``max sigma +
+        free`` processors, so stale rows are patched over the first
+        ``(max sigma + free) / 2`` slots only (clipped to the platform
+        grid; ``None``, and every ``lazy`` matrix, use the whole grid).
+        That bounds EndLocal's reads exactly; the Algorithm-5 rebuild
+        starts from it and widens rows through :meth:`widen_row`.  The
+        returned matrix exposes just the window's columns, so a read
+        past them raises instead of returning a stale value.  The
+        matrix aliases the cache's persistent arrays and is valid until
+        the next :meth:`matrix` call.
         """
         model = self.model
         width = self._width
-        w = width if cols is None or lazy else min(int(cols), width)
         n_act = len(tasks)
         rows = np.fromiter(
             (rt.index for rt in tasks), dtype=np.int64, count=n_act
@@ -672,6 +695,11 @@ class DecisionCache:
         dirty_pos = np.nonzero(self._dirty[rows])[0]
         for pos in dirty_pos:
             self._refresh(tasks[pos])
+        if free is None or lazy:
+            w = width
+        else:
+            # Clean mirrors equal the live sigmas (invariant 1).
+            w = min((int(self._sigma[rows].max()) + int(free)) >> 1, width)
         stall = np.zeros(n_act)
         if faulty is not None:
             pos_f = indices.index(faulty)
@@ -721,9 +749,22 @@ class DecisionCache:
             cache=self,
         )
 
-    def _profile_rows(self, sub: np.ndarray, w: int) -> np.ndarray:
+    def _flat_index(
+        self, buf: np.ndarray, rows: np.ndarray, w: int
+    ) -> np.ndarray:
+        """Flat positions of the cells ``[rows, :w]`` of any C-contiguous
+        ``(., width)`` array, as a ``(k, w)`` block of ``buf``."""
+        ix = _block(buf, rows.size, w)
+        np.multiply(rows[:, None], self._width, out=ix)
+        np.add(ix, self._col_ids[:w], out=ix)
+        return ix
+
+    def _profile_rows(
+        self, sub: np.ndarray, w: int, ix: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Envelope rows of the stale tasks over columns ``[0, w)``,
-        delta-patched per task.
+        delta-patched per task (``ix``: their :meth:`_flat_index`, when
+        the caller already has it).
 
         Replaces the model-ring lookup (:meth:`~repro.resilience.
         expected_time.ExpectedTimeModel.profile_rows_into`) on the
@@ -772,19 +813,25 @@ class DecisionCache:
         alpha_q = keys / _ALPHA_SCALE
         blocks = self.model._stacked_grids()
         rows = self.model.grid_rows
-        gsub = sub if rows is None else rows[sub]  # block rows of sub
+        if ix is None:
+            ix = self._flat_index(self._ix, sub, w)
+        if rows is None:
+            gsub, gix = sub, ix
+        else:
+            gsub = rows[sub]  # block rows of sub
+            gix = self._flat_index(self._gix, gsub, w)
         b = _block(self._pb, k, w)
         c = _block(self._pc, k, w)
         d = _block(self._pd, k, w)
-        np.multiply(alpha_q[:, None], blocks["t_ff"][gsub, :w], out=c)
-        wpp = blocks["wpp"][gsub, :w]             # c = work
+        np.multiply(alpha_q[:, None], _take(blocks["t_ff"], gix, b), out=c)
+        wpp = _take(blocks["wpp"], gix, b)        # c = work
         np.divide(c, wpp, out=d)
         np.floor(d, out=d)                        # d = N^ff
         np.multiply(d, wpp, out=b)
         np.subtract(c, b, out=c)                  # c = tau_last
-        same = (self._nff_w[sub] >= w) & np.all(
-            d == self._nff[sub, :w], axis=1
-        )
+        eq = _block(self._eq, k, w)
+        np.equal(d, _take(self._nff, ix, b), out=eq)
+        same = (self._nff_w[sub] >= w) & eq.all(axis=1)
         full_pos = np.nonzero(~same)[0]
         n_full = int(full_pos.size)
         if n_full == k:
@@ -792,29 +839,34 @@ class DecisionCache:
             # bases in place — one block multiply, no cached-base gather
             # (bit-identical: same N^ff and exp_period operands).
             self._nff[sub, :w] = d
-            np.multiply(d, blocks["exp_period"][gsub, :w], out=d)
+            np.multiply(d, _take(blocks["exp_period"], gix, b), out=d)
             self._nff_base[sub, :w] = d               # d = N^ff * exp_period
             self._nff_w[sub] = np.maximum(self._nff_w[sub], w)
         else:
-            if n_full:
-                full = sub[full_pos]
-                nff_rows = d[full_pos]
-                self._nff[full, :w] = nff_rows
-                self._nff_base[full, :w] = (
-                    nff_rows * blocks["exp_period"][gsub[full_pos], :w]
+            # Refresh the stepped rows in place (row views, no gathers),
+            # then read every row's base back from the cache.
+            exp_period = blocks["exp_period"]
+            nff_w = self._nff_w
+            for pos in full_pos.tolist():
+                i = int(sub[pos])
+                self._nff[i, :w] = d[pos]
+                np.multiply(
+                    d[pos], exp_period[int(gsub[pos]), :w],
+                    out=self._nff_base[i, :w],
                 )
-                self._nff_w[full] = np.maximum(self._nff_w[full], w)
-            d[...] = self._nff_base[sub, :w]
+                if nff_w[i] < w:
+                    nff_w[i] = w
+            _take(self._nff_base, ix, d)          # d = N^ff * exp_period
         n_tau = k - n_full
         self.profile_tau_patched += n_tau
         _PROCESS_DECISION_COUNTERS[4] += n_tau
         self.profile_rows_full += n_full
         with np.errstate(over="ignore"):
-            np.multiply(blocks["lam"][gsub, :w], c, out=c)
+            np.multiply(_take(blocks["lam"], gix, b), c, out=c)
             np.expm1(c, out=c)                    # c = expm1(lam tau_last)
             np.add(d, c, out=c)                   # c = base + expm1 term
             # raw Eq. (4) rows
-            np.multiply(blocks["prefactor"][gsub, :w], c, out=out)
+            np.multiply(_take(blocks["prefactor"], gix, b), c, out=out)
         zero = alpha_q <= 0.0
         if bool(np.any(zero)):
             out[zero] = 0.0
@@ -839,12 +891,13 @@ class DecisionCache:
         k = sub.size
         self.rows_reused += k - need.size  # RC rows with an unchanged sigma
         _PROCESS_DECISION_COUNTERS[1] += k - need.size
-        prof = self._profile_rows(sub, w)
-        left = _block(self._left, k, w)
+        ix = self._flat_index(self._ix, sub, w)
+        prof = self._profile_rows(sub, w, ix)
+        left = _take(self._rc, ix, self._left)
         ts = t + self._stall[sub]
-        np.add(ts[:, None], self._rc[sub, :w], out=left)
-        right = _block(self._right, k, w)
-        np.add(self._cost_rows[sub, :w], prof, out=right)
+        np.add(ts[:, None], left, out=left)
+        right = _take(self._cost_rows, ix, self._right)
+        np.add(right, prof, out=right)
         np.add(left, right, out=left)
         self._fin[sub, :w] = left
         self._row_t[sub] = t
@@ -893,7 +946,12 @@ class DecisionCache:
         idx = np.fromiter(dm.indices, dtype=np.int64, count=len(dm.indices))
         w = dm.finishes.shape[1]
         vals = self._vals[:idx.size]
-        vals[:, :w] = self._fin[idx, :w]
+        # Gathered through the flat scratch: vals keeps full-width rows
+        # (widen_row extends them in place), so it is not a (k, w) block.
+        np.copyto(
+            vals[:, :w],
+            _take(self._fin, self._flat_index(self._ix, idx, w), self._left),
+        )
         slots = (self._sigma[idx] >> 1) - 1
         inside = np.nonzero(slots < w)[0]
         vals[inside, slots[inside]] = self._keep[idx[inside]]

@@ -66,6 +66,13 @@ def make_runtimes(model, p, t_offset=0.0):
     return runtimes
 
 
+def budget_for(runtimes, cols):
+    """The free budget whose cache window is ``cols`` slots:
+    ``(max sigma + free) / 2 == cols`` (negative when ``cols`` is
+    narrower than the widest allocation)."""
+    return 2 * cols - max(rt.sigma for rt in runtimes)
+
+
 def snapshot(runtimes):
     return [
         (rt.sigma, rt.alpha, rt.t_last, rt.t_expected, rt.redistributions)
@@ -268,16 +275,16 @@ class _CheckingCache(_PoisoningCache):
         self._fresh = None
 
     def matrix(
-        self, t, tasks, faulty=None, *, with_keep=False, lazy=False, cols=None
+        self, t, tasks, faulty=None, *, with_keep=False, lazy=False, free=None
     ):
         dm = super().matrix(
-            t, tasks, faulty, with_keep=with_keep, lazy=lazy, cols=cols
+            t, tasks, faulty, with_keep=with_keep, lazy=lazy, free=free
         )
         fresh = decision_matrix(
             self.model, t, tasks, faulty, with_keep=with_keep
         )
         w = dm.finishes.shape[1]
-        if cols is None or lazy:
+        if free is None or lazy:
             assert w == self.model.j_grid.size
         for row, rt in enumerate(tasks):
             i = rt.index
@@ -478,6 +485,35 @@ class TestColumnWindows:
         full = sum(c.rows_patched * c._width for c in caches)
         assert 0 < columns < full
 
+    @pytest.mark.parametrize("moved", [1.0001, 1.5])
+    def test_windowed_passes_allocate_no_block(self, moved):
+        """The windowed gathers land in the preallocated scratch: one
+        patch pass plus a rebuild block allocates less than half of one
+        ``(rows, window)`` block (numpy's own ufunc buffers stay below
+        that, the fancy ``src[rows, :w]`` gathers they replace did not).
+        ``moved`` steps ``t`` a little (most rows take the tau-only
+        patch) or far (every ``N^ff`` row steps)."""
+        import tracemalloc
+
+        p, cols = 4000, 1000
+        _, _, model = build(7, 50, p)
+        runtimes = make_runtimes(model, p)
+        t = 0.3 * min(rt.t_expected for rt in runtimes)
+        cache = DecisionCache(model)
+        free = budget_for(runtimes, cols)
+        cache.matrix(t, runtimes, free=free, with_keep=True)  # warm-up
+        block = len(runtimes) * cols * 8
+        tracemalloc.start()
+        try:
+            dm = cache.matrix(t * moved, runtimes, free=free, with_keep=True)
+            cache.rebuild_block(dm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache.rows_patched == 2 * len(runtimes)
+        assert dm.finishes.shape[1] == cols
+        assert peak < block // 2
+
     def test_windowed_matrix_exposes_only_its_columns(self):
         from repro.exceptions import SimulationError
 
@@ -485,7 +521,7 @@ class TestColumnWindows:
         runtimes = make_runtimes(model, 40)
         t = 0.3 * min(rt.t_expected for rt in runtimes)
         cache = _PoisoningCache(model)
-        dm = cache.matrix(t, runtimes, cols=3)
+        dm = cache.matrix(t, runtimes, free=budget_for(runtimes, 3))
         fresh = decision_matrix(model, t, runtimes)
         assert dm.finishes.shape[1] == 3
         assert cache.columns_evaluated == 3 * len(runtimes)
@@ -504,18 +540,18 @@ class TestColumnWindows:
         t = 0.4 * min(rt.t_expected for rt in runtimes)
         n = len(runtimes)
         cache = _PoisoningCache(model)
-        cache.matrix(t, runtimes, cols=2)
+        cache.matrix(t, runtimes, free=budget_for(runtimes, 2))
         assert cache.rows_patched == n
-        cache.matrix(t, runtimes, cols=2)
+        cache.matrix(t, runtimes, free=budget_for(runtimes, 2))
         assert cache.rows_patched == n  # same t, same window: reused
-        wide = cache.matrix(t, runtimes, cols=7)
+        wide = cache.matrix(t, runtimes, free=budget_for(runtimes, 7))
         assert cache.rows_patched == 2 * n  # too narrow: re-patched
         fresh = decision_matrix(model, t, runtimes)
         for row, rt in enumerate(runtimes):
             assert np.array_equal(
                 wide.finishes[rt.index], fresh.finishes[row, :7]
             )
-        narrow = cache.matrix(t, runtimes, cols=4)
+        narrow = cache.matrix(t, runtimes, free=budget_for(runtimes, 4))
         assert cache.rows_patched == 2 * n  # wider rows serve narrower
         assert narrow.finishes.shape[1] == 4
         full = cache.matrix(t, runtimes)
@@ -552,7 +588,7 @@ class TestColumnWindows:
                 rt.alpha = remaining_at(model, rt, t)
                 rt.t_last = t
                 cache.invalidate(rt.index)
-            dm = cache.matrix(t, runtimes, cols=cols)
+            dm = cache.matrix(t, runtimes, free=budget_for(runtimes, cols))
             fresh = decision_matrix(model, t, runtimes)
             w = dm.finishes.shape[1]
             assert w == min(cols, model.j_grid.size)
@@ -571,7 +607,7 @@ class TestColumnWindows:
         runtimes = make_runtimes(model, 40)
         t = 0.3 * min(rt.t_expected for rt in runtimes)
         cache = _PoisoningCache(model)
-        dm = cache.matrix(t, runtimes, cols=2)
+        dm = cache.matrix(t, runtimes, free=budget_for(runtimes, 2))
         i = runtimes[0].index
         alpha = dm.alpha_of(i)
         top = int(model.j_grid[-1])
